@@ -17,7 +17,9 @@ _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)
 
 from jobs.common import Tee, get_spark
 from repro.core.config import ConfigOptions, derive_config
+from repro.core.storage import choose_coding
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
+from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS, PROFILING_DATASET
 
 
@@ -47,9 +49,6 @@ def main(spark, out=print, profiler_mode: str = "spark"):
     header = f"{'F1':>5s} " + " | ".join(f"{n:^40s}" for n in OPERATORS)
     out(header)
     # uncoalesced size: what a dedicated SF for this CF alone would store
-    from repro.core.storage import choose_coding
-    from repro.profiler.storage import StorageProfiler
-
     sprof = StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
     for acc in ACCURACY_LEVELS:
         cells = []

@@ -15,7 +15,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.codec.model import encode_cost_cores, size_kb_per_s
-from repro.formats import SEGMENT_SECONDS, StorageFormat
+from repro.formats import StorageFormat
 
 TRANSCODE_SCHEMA = (
     "dataset string, segment_id long, start_s long, seconds long, motion double, "

@@ -9,10 +9,11 @@ applied separately per storage budget via :func:`repro.core.erosion.plan_erosion
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
+from repro.codec.model import raw_retrieval_speed_x
 from repro.core.consumption import DerivedCF, derive_consumption_format
 from repro.core.storage import Consumer, StoragePlan, derive_storage_plan
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
@@ -52,7 +53,6 @@ class ConfigOptions:
     op_names: tuple[str, ...] = tuple(OPERATORS)
     profiler_mode: str = "spark"
     ingest_budget_cores: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def derive_config(
@@ -80,8 +80,6 @@ def derive_config(
             # the speed the storage derivation must satisfy is the min of the
             # two — otherwise R2 would be unsatisfiable for very cheap
             # operators whose consumption outruns the disk.
-            from repro.codec.model import raw_retrieval_speed_x
-
             demand = min(d.speed_x, raw_retrieval_speed_x(d.fidelity, d.fidelity.sampling))
             consumers.append(
                 Consumer(op_name=name, target_acc=acc, cf=d.fidelity, speed_x=demand)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from repro.codec.model import encode_cost_cores
 from repro.formats import Coding, Fidelity, GOLDEN_CODING, RAW, StorageFormat, cheaper_coding, coding_space, knobwise_max
 from repro.profiler.storage import StorageProfile, StorageProfiler
 
@@ -85,8 +86,6 @@ class StoragePlan:
         return sum(n.size_kb_per_s for n in self.nodes)
 
     def ingest_cores(self, motion: float) -> float:
-        from repro.codec.model import encode_cost_cores
-
         return sum(
             encode_cost_cores(n.fidelity, n.coding, motion) for n in self.nodes
         )
@@ -151,21 +150,25 @@ def _merged(sp: StorageProfiler, a: SFNode, b: SFNode) -> SFNode | None:
     )
 
 
-def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode]:
-    """Full SF set: golden + one SF per unique CF (paper Fig 9, right side)."""
+def _by_cf(consumers: list[Consumer]) -> dict[Fidelity, list[Consumer]]:
+    """Consumers grouped by their CF, CFs in label order."""
     by_cf: dict[Fidelity, list[Consumer]] = {}
     for c in consumers:
         by_cf.setdefault(c.cf, []).append(c)
-    golden_f = knobwise_max(*by_cf.keys())
-    golden = SFNode(
-        fidelity=golden_f,
-        coding=GOLDEN_CODING,
-        consumers=[],
-        profile=sp.profile(golden_f, GOLDEN_CODING),
-        golden=True,
-    )
-    nodes = [golden]
-    for cf, cons in sorted(by_cf.items(), key=lambda kv: kv[0].label()):
+    return dict(sorted(by_cf.items(), key=lambda kv: kv[0].label()))
+
+
+def _golden_node(sp: StorageProfiler, cfs) -> SFNode:
+    """The golden format: knob-wise max of all CFs at the golden coding."""
+    f = knobwise_max(*cfs)
+    return SFNode(f, GOLDEN_CODING, [], sp.profile(f, GOLDEN_CODING), golden=True)
+
+
+def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode]:
+    """Full SF set: golden + one SF per unique CF (paper Fig 9, right side)."""
+    by_cf = _by_cf(consumers)
+    nodes = [_golden_node(sp, by_cf)]
+    for cf, cons in by_cf.items():
         prof = choose_coding(sp, cf, cons)
         assert prof is not None, f"no feasible coding for CF {cf.label()}"
         nodes.append(SFNode(fidelity=cf, coding=prof.coding, consumers=cons, profile=prof))
@@ -220,7 +223,6 @@ def _adapt_to_budget(
 ) -> None:
     """Greedy: apply the ingest-reducing move with the least storage growth
     until the cost fits; moves are coding speed-ups, RAW bypass, coalesces."""
-    from repro.codec.model import encode_cost_cores
 
     def cost(n: SFNode) -> float:
         return encode_cost_cores(n.fidelity, n.coding, motion)
@@ -293,32 +295,18 @@ def enumerate_storage_plan(
 ) -> StoragePlan:
     """Try every partition of the CF set into SF groups; keep the cheapest
     feasible plan (golden always included). Exponential — validation only."""
-    by_cf: dict[Fidelity, list[Consumer]] = {}
-    for c in consumers:
-        by_cf.setdefault(c.cf, []).append(c)
-    cfs = sorted(by_cf.keys(), key=lambda f: f.label())
-    golden_f = knobwise_max(*cfs)
+    by_cf = _by_cf(consumers)
     best_nodes, best_cost = None, float("inf")
-    for part in _partitions(cfs):
-        nodes = [
-            SFNode(
-                fidelity=golden_f,
-                coding=GOLDEN_CODING,
-                consumers=[],
-                profile=sp.profile(golden_f, GOLDEN_CODING),
-                golden=True,
-            )
-        ]
+    for part in _partitions(list(by_cf)):
+        nodes = [_golden_node(sp, by_cf)]
         ok = True
         for group in part:
             f = knobwise_max(*group)
             cons = [c for cf in group for c in by_cf[cf]]
-            if f == golden_f:
-                # merge into the golden node if its coding stays feasible
-                prof = sp.profile(golden_f, GOLDEN_CODING)
-                if _feasible(prof, cons):
-                    nodes[0].consumers.extend(cons)
-                    continue
+            # merge into the golden node if its coding stays feasible
+            if f == nodes[0].fidelity and _feasible(nodes[0].profile, cons):
+                nodes[0].consumers.extend(cons)
+                continue
             prof = choose_coding(sp, f, cons)
             if prof is None:
                 ok = False

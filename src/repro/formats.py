@@ -47,10 +47,13 @@ class Fidelity:
     crop: float
 
     def __post_init__(self) -> None:
-        assert self.quality in _QIDX, self.quality
-        assert self.resolution in RESOLUTIONS, self.resolution
-        assert self.sampling in SAMPLINGS, self.sampling
-        assert self.crop in CROPS, self.crop
+        if not (
+            self.quality in _QIDX
+            and self.resolution in RESOLUTIONS
+            and self.sampling in SAMPLINGS
+            and self.crop in CROPS
+        ):
+            raise ValueError(f"illegal knob value in {self!r}")
 
     @property
     def quality_idx(self) -> int:
@@ -94,9 +97,10 @@ class Coding:
     raw: bool = False
 
     def __post_init__(self) -> None:
-        if not self.raw:
-            assert self.speed_step in _SIDX, self.speed_step
-            assert self.keyframe_interval in KEYFRAME_INTERVALS, self.keyframe_interval
+        if not self.raw and not (
+            self.speed_step in _SIDX and self.keyframe_interval in KEYFRAME_INTERVALS
+        ):
+            raise ValueError(f"illegal knob value in {self!r}")
 
     @property
     def speed_idx(self) -> int:
@@ -133,13 +137,12 @@ def fidelity_space() -> tuple[Fidelity, ...]:
 
 
 @lru_cache(maxsize=1)
-def coding_space(include_raw: bool = False) -> tuple[Coding, ...]:
-    """All 25 encoded coding options (plus RAW if requested)."""
-    encoded = tuple(
+def coding_space() -> tuple[Coding, ...]:
+    """All 25 encoded coding options (RAW is the separate bypass)."""
+    return tuple(
         Coding(step, kfi)
         for step, kfi in itertools.product(SPEED_STEPS, KEYFRAME_INTERVALS)
     )
-    return encoded + ((RAW,) if include_raw else encoded[:0])
 
 
 def storage_space_size() -> int:

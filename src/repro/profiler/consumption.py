@@ -28,18 +28,16 @@ Fig 13 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.formats import Fidelity, SAMPLINGS
+from repro.formats import Fidelity
 from repro.ops.base import Operator, f1_score
-from repro.ops.library import operator
 from repro.video.datasets import Dataset
-from repro.video.frames import sampled_frame_mask, segment_frames
+from repro.video.frames import segment_frames
 
 
 @dataclass(frozen=True)
@@ -134,50 +132,27 @@ class ConsumptionProfiler:
     # -- Spark data plane -----------------------------------------------------
 
     def _profile_spark(self, op: Operator, fs: list[Fidelity]) -> list[ProfileResult]:
-        req = pd.DataFrame(
-            {
-                "idx": np.arange(len(fs)),
-                "quality": [f.quality for f in fs],
-                "resolution": [f.resolution for f in fs],
-                "samp_num": [f.sampling.numerator for f in fs],
-                "samp_den": [f.sampling.denominator for f in fs],
-                "crop": [f.crop for f in fs],
-            }
-        )
-        ds_name, seg_ids, op_name = self.ds.name, self.segment_ids, op.name
+        # The operator, fidelities and dataset reach the executor through the
+        # closure; only each request's index travels as a column.
+        ds, seg_ids = self.ds, self.segment_ids
 
         def run(batches: Iterable[pd.DataFrame]):
-            from repro.video.datasets import dataset as _lookup
-
-            ds = _lookup(ds_name)
-            o = operator(op_name)
             for pdf in batches:
                 rows = []
-                for r in pdf.itertuples(index=False):
-                    f = Fidelity(
-                        r.quality,
-                        int(r.resolution),
-                        Fraction(int(r.samp_num), int(r.samp_den)),
-                        float(r.crop),
-                    )
-                    pr = evaluate_profile(o, f, ds, tuple(seg_ids))
-                    rows.append((int(r.idx), pr.f1, pr.speed_x))
-                yield pd.DataFrame(rows, columns=["idx", "f1", "speed_x"])
+                for i in pdf["id"]:
+                    pr = evaluate_profile(op, fs[i], ds, seg_ids)
+                    rows.append((int(i), pr.f1, pr.speed_x))
+                yield pd.DataFrame(rows, columns=["id", "f1", "speed_x"])
 
         out = (
-            self.spark.createDataFrame(req)
+            self.spark.range(len(fs))
             .repartition(min(len(fs), 16))
-            .mapInPandas(run, schema="idx long, f1 double, speed_x double")
+            .mapInPandas(run, schema="id long, f1 double, speed_x double")
             .toPandas()
-            .set_index("idx")
+            .set_index("id")
             .sort_index()
         )
         return [
             ProfileResult(f1=float(out.loc[i, "f1"]), speed_x=float(out.loc[i, "speed_x"]))
             for i in range(len(fs))
         ]
-
-
-def nearest_sampling(x: float) -> Fraction:
-    """Snap a float to the nearest legal sampling knob value."""
-    return min(SAMPLINGS, key=lambda s: abs(float(s) - x))

@@ -1,26 +1,21 @@
-"""Storage-format profiling: (fidelity, coding) -> (size, decode cost).
+"""Storage-format profiling: (fidelity, coding) -> (size, retrieval speed).
 
 Paper §4.3: "for each pair, VStore profiles a video sample in the would-be
 coalesced SF, testing decoding speed and the video sample size". Here one
-profiling run evaluates the codec model on a sample segment of the profiling
-dataset; results are memoized per (fidelity, coding) and the run/hit counters
-feed the §6.4 overhead accounting (the paper reports 475 profiled of 15K
-possible, 92% of examined formats memoized).
+profiling run evaluates the codec model (:mod:`repro.codec.model`) on the
+profiling dataset's content — its size and its retrieval speed for each of
+the five legal consumer sampling rates — and the profiler is a memo over those
+results per (fidelity, coding); the run/hit counters feed the §6.4 overhead
+accounting (the paper reports 475 profiled of 15K possible, 92% of examined
+formats memoized).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from repro.codec.model import (
-    DEC_COST_720_FRAME_S,
-    QUALITY_DEC,
-    SPEED_DEC_COST,
-    decoded_frames_per_s,
-    raw_retrieval_speed_x,
-    size_kb_per_s,
-)
-from repro.formats import Coding, Fidelity, pixel_ratio
+from repro.codec.model import retrieval_speed_x, size_kb_per_s
+from repro.formats import SAMPLINGS, Coding, Fidelity, StorageFormat
 from repro.video.datasets import Dataset
 
 
@@ -31,15 +26,14 @@ class StorageProfile:
     fidelity: Fidelity
     coding: Coding
     size_kb_per_s: float
-    decode_frame_cost_s: float  # 0 for RAW
+    #: retrieval speed (x-realtime) per legal consumer sampling rate, keyed
+    #: by ``float(rate)`` (hashing a float is far cheaper than a Fraction)
+    speed_by_sampling: dict[float, float] = field(compare=False, repr=False)
 
     def retrieval_speed_x(self, consumer_sampling: Fraction | float) -> float:
         """Retrieval speed (x-realtime) for a consumer sampling at the given
         rate — decode-bound for encoded formats, disk-bound for RAW."""
-        if self.coding.raw:
-            return raw_retrieval_speed_x(self.fidelity, consumer_sampling)
-        frames = decoded_frames_per_s(consumer_sampling, self.coding.keyframe_interval)
-        return 1.0 / (frames * self.decode_frame_cost_s)
+        return self.speed_by_sampling[float(consumer_sampling)]
 
 
 class StorageProfiler:
@@ -57,22 +51,14 @@ class StorageProfiler:
             self.hits += 1
             return self.memo[key]
         self.runs += 1
-        motion = self.ds.motion
-        if c.raw:
-            dec = 0.0
-        else:
-            dec = (
-                DEC_COST_720_FRAME_S
-                * pixel_ratio(f)
-                * SPEED_DEC_COST[c.speed_step]
-                * QUALITY_DEC[f.quality]
-                * (0.9 + 0.35 * motion)
-            )
+        sf, motion = StorageFormat(f, c), self.ds.motion
         prof = StorageProfile(
             fidelity=f,
             coding=c,
             size_kb_per_s=size_kb_per_s(f, c, motion),
-            decode_frame_cost_s=dec,
+            speed_by_sampling={
+                float(s): retrieval_speed_x(sf, s, motion) for s in SAMPLINGS
+            },
         )
         self.memo[key] = prof
         return prof

@@ -15,11 +15,10 @@ retrieved from (SF)? The four providers mirror the paper's comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.codec.model import retrieval_speed_x
 from repro.core.config import VStoreConfig
-from repro.core.storage import Consumer, choose_coding
+from repro.core.storage import SFNode, initial_nodes
 from repro.formats import Fidelity, GOLDEN_CODING, StorageFormat
 from repro.ops.base import Operator
 from repro.ops.library import OPERATORS
@@ -50,10 +49,6 @@ class FormatProvider:
         return self.entries[(op_name, acc)]
 
 
-def _golden_fidelity(cfg: VStoreConfig) -> Fidelity:
-    return cfg.storage.golden.fidelity
-
-
 def _entry(cf: Fidelity, sf: StorageFormat, sf_id: str, op: Operator, motion: float) -> StagePlanEntry:
     return StagePlanEntry(
         cf=cf,
@@ -64,26 +59,30 @@ def _entry(cf: Fidelity, sf: StorageFormat, sf_id: str, op: Operator, motion: fl
     )
 
 
-def vstore_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
-    sfs = {
-        ("SFg" if n.golden else f"SF{i}"): n.storage_format()
-        for i, n in enumerate(cfg.storage.nodes)
-    }
-    ids = list(sfs)
-    entries = {}
-    assignment = cfg.storage.assignment()
-    for c in cfg.consumers:
-        idx = assignment[c]
-        sf_id = ids[idx]
-        entries[(c.op_name, c.target_acc)] = _entry(
-            c.cf, sfs[sf_id], sf_id, OPERATORS[c.op_name], motion
+def _from_nodes(
+    name: str, ids: list[str], nodes: list[SFNode], cfg: VStoreConfig, motion: float
+) -> FormatProvider:
+    """Provider that retrieves each consumer's CF from the node serving it."""
+    sfs = {sf_id: n.storage_format() for sf_id, n in zip(ids, nodes)}
+    sf_id_of = {c: sf_id for sf_id, n in zip(ids, nodes) for c in n.consumers}
+    entries = {
+        (c.op_name, c.target_acc): _entry(
+            c.cf, sfs[sf_id_of[c]], sf_id_of[c], OPERATORS[c.op_name], motion
         )
-    return FormatProvider("vstore", entries, sfs)
+        for c in cfg.consumers
+    }
+    return FormatProvider(name, entries, sfs)
+
+
+def vstore_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
+    nodes = cfg.storage.nodes
+    ids = ["SFg" if n.golden else f"SF{i}" for i, n in enumerate(nodes)]
+    return _from_nodes("vstore", ids, nodes, cfg, motion)
 
 
 def one_to_one_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
     """Golden format in, golden fidelity out (consumers get full fidelity)."""
-    g = StorageFormat(_golden_fidelity(cfg), GOLDEN_CODING)
+    g = StorageFormat(cfg.storage.golden.fidelity, GOLDEN_CODING)
     sfs = {"SFg": g}
     entries = {
         (c.op_name, c.target_acc): _entry(
@@ -96,7 +95,7 @@ def one_to_one_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
 
 def one_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
     """Golden format in, VStore CFs out (decode golden, convert per consumer)."""
-    g = StorageFormat(_golden_fidelity(cfg), GOLDEN_CODING)
+    g = StorageFormat(cfg.storage.golden.fidelity, GOLDEN_CODING)
     sfs = {"SFg": g}
     entries = {}
     for c in cfg.consumers:
@@ -110,26 +109,9 @@ def one_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
 def n_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
     """One SF per unique CF, adequate min-size coding, no coalescing."""
     sprof = StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
-    by_cf: dict[Fidelity, list[Consumer]] = {}
-    for c in cfg.consumers:
-        by_cf.setdefault(c.cf, []).append(c)
-    sfs: dict[str, StorageFormat] = {}
-    cf_to_id: dict[Fidelity, str] = {}
-    for i, (cf, cons) in enumerate(
-        sorted(by_cf.items(), key=lambda kv: kv[0].label())
-    ):
-        prof = choose_coding(sprof, cf, cons)
-        assert prof is not None
-        sf_id = f"SF{i:02d}"
-        sfs[sf_id] = StorageFormat(cf, prof.coding)
-        cf_to_id[cf] = sf_id
-    entries = {}
-    for c in cfg.consumers:
-        sf_id = cf_to_id[c.cf]
-        entries[(c.op_name, c.target_acc)] = _entry(
-            c.cf, sfs[sf_id], sf_id, OPERATORS[c.op_name], motion
-        )
-    return FormatProvider("N->N", entries, sfs)
+    nodes = initial_nodes(sprof, cfg.consumers)[1:]
+    ids = [f"SF{i:02d}" for i in range(len(nodes))]
+    return _from_nodes("N->N", ids, nodes, cfg, motion)
 
 
 _PROVIDERS = {

@@ -25,7 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.ops.library import CASCADES, OPERATORS
-from repro.query.alternatives import FormatProvider
+from repro.query.alternatives import FormatProvider, StagePlanEntry
 from repro.video.datasets import Dataset
 from repro.video.frames import sampled_frame_mask, segment_frames, segments_df
 
@@ -38,6 +38,7 @@ STAGE_SCHEMA = (
     "segment_id long, stage long, op string, frac_in double, flagged long, "
     "processed long, sim_time_s double, seconds long"
 )
+STAGE_COLUMNS = [c.split()[0] for c in STAGE_SCHEMA.split(", ")]
 
 
 def _propagate(active: "np.ndarray", mask: "np.ndarray", pred: "np.ndarray", n: int):
@@ -87,24 +88,52 @@ class QueryResult:
         return self.video_seconds / self.sim_time_s
 
 
-def stage_rows(
-    provider: FormatProvider, ds: Dataset, accuracy: float
-) -> list[dict]:
-    """Per-stage plan for one query, resolved from the format provider."""
-    rows = []
-    for stage, op_name in enumerate(CASCADES[ds.query]):
-        e = provider.entry(op_name, accuracy)
-        rows.append(
-            {
-                "stage": stage,
-                "op": op_name,
-                "cf": e.cf,
-                "sf_id": e.sf_id,
-                "ret_x": e.retrieval_x,
-                "cons_x": e.consumption_speed_x,
-            }
-        )
-    return rows
+def _cascade(
+    spark: SparkSession, provider: FormatProvider, ds: Dataset, accuracy: float, hours: float
+) -> tuple[list[StagePlanEntry], DataFrame]:
+    """The cascade kernel: the per-stage plan and one row per (segment, stage)
+    of ``hours`` of video run through the dataset's cascade at ``accuracy``."""
+    ops = [OPERATORS[name] for name in CASCADES[ds.query]]
+    plan = [provider.entry(op.name, accuracy) for op in ops]
+    stages = list(enumerate(zip(ops, plan)))
+
+    def run(batches: Iterable[pd.DataFrame]):
+        for pdf in batches:
+            out = []
+            for r in pdf.itertuples(index=False):
+                frames = segment_frames(ds, int(r.segment_id))
+                n = len(frames)
+                active = np.ones(n, dtype=bool)
+                for stage, (op, e) in stages:
+                    frac_in = float(active.mean())
+                    mask = active & sampled_frame_mask(n, e.cf.sampling)
+                    processed = frames[mask]
+                    if len(processed):
+                        pred = op.detect(processed, e.cf, ds.motion, ds.event_rate)
+                    else:
+                        pred = np.zeros(0, dtype=bool)
+                    t = (
+                        frac_in
+                        * int(r.seconds)
+                        * max(1.0 / e.retrieval_x, 1.0 / e.consumption_speed_x)
+                        + (OVERHEAD_S if frac_in > 0 else 0.0)
+                    )
+                    out.append(
+                        (
+                            int(r.segment_id),
+                            stage,
+                            op.name,
+                            frac_in,
+                            int(pred.sum()),
+                            int(len(processed)),
+                            t,
+                            int(r.seconds),
+                        )
+                    )
+                    active = _propagate(active, mask, pred, n)
+            yield pd.DataFrame(out, columns=STAGE_COLUMNS)
+
+    return plan, segments_df(spark, ds, hours=hours).mapInPandas(run, schema=STAGE_SCHEMA)
 
 
 def run_query(
@@ -116,64 +145,7 @@ def run_query(
     hours: float = 1.0,
 ) -> QueryResult:
     """Execute the dataset's cascade at one accuracy over ``hours`` of video."""
-    plan = stage_rows(provider, ds, accuracy)
-    segs = segments_df(spark, ds, hours=hours)
-    ds_name = ds.name
-    motion, event_rate = ds.motion, ds.event_rate
-
-    def run(batches: Iterable[pd.DataFrame]):
-        from repro.video.datasets import dataset as _lookup
-
-        d = _lookup(ds_name)
-        for pdf in batches:
-            out = []
-            for r in pdf.itertuples(index=False):
-                frames = segment_frames(d, int(r.segment_id))
-                n = len(frames)
-                active = np.ones(n, dtype=bool)
-                for st in plan:
-                    frac_in = float(active.mean())
-                    mask = active & sampled_frame_mask(n, st["cf"].sampling)
-                    processed = frames[mask]
-                    op = OPERATORS[st["op"]]
-                    if len(processed):
-                        pred = op.detect(processed, st["cf"], motion, event_rate)
-                    else:
-                        pred = np.zeros(0, dtype=bool)
-                    t = (
-                        frac_in
-                        * int(r.seconds)
-                        * max(1.0 / st["ret_x"], 1.0 / st["cons_x"])
-                        + (OVERHEAD_S if frac_in > 0 else 0.0)
-                    )
-                    out.append(
-                        (
-                            int(r.segment_id),
-                            st["stage"],
-                            st["op"],
-                            frac_in,
-                            int(pred.sum()),
-                            int(len(processed)),
-                            t,
-                            int(r.seconds),
-                        )
-                    )
-                    active = _propagate(active, mask, pred, n)
-            yield pd.DataFrame(
-                out,
-                columns=[
-                    "segment_id",
-                    "stage",
-                    "op",
-                    "frac_in",
-                    "flagged",
-                    "processed",
-                    "sim_time_s",
-                    "seconds",
-                ],
-            )
-
-    rows = segs.mapInPandas(run, schema=STAGE_SCHEMA)
+    plan, rows = _cascade(spark, provider, ds, accuracy, hours)
     agg = (
         rows.groupBy("stage", "op")
         .agg(
@@ -183,24 +155,23 @@ def run_query(
         .orderBy("stage")
         .collect()
     )
-    video_s = hours * 3600.0
     stages = tuple(
         StageExec(
             op_name=a["op"],
-            cf_label=provider.entry(a["op"], accuracy).cf.label(),
-            sf_id=provider.entry(a["op"], accuracy).sf_id,
-            retrieval_x=provider.entry(a["op"], accuracy).retrieval_x,
-            consumption_x=provider.entry(a["op"], accuracy).consumption_speed_x,
+            cf_label=e.cf.label(),
+            sf_id=e.sf_id,
+            retrieval_x=e.retrieval_x,
+            consumption_x=e.consumption_speed_x,
             frac_in=float(a["frac_in"]),
             sim_time_s=float(a["sim_time_s"]),
         )
-        for a in agg
+        for a, e in zip(agg, plan)  # every segment emits every stage
     )
     return QueryResult(
         provider=provider.name,
         dataset=ds.name,
         accuracy=accuracy,
-        video_seconds=video_s,
+        video_seconds=hours * 3600.0,
         sim_time_s=sum(s.sim_time_s for s in stages),
         stages=stages,
     )
@@ -215,32 +186,5 @@ def detections_df(
     hours: float = 0.1,
 ) -> DataFrame:
     """Per-(segment, stage) detection counts — used by oracle-checked tests."""
-    plan = stage_rows(provider, ds, accuracy)
-    segs = segments_df(spark, ds, hours=hours)
-    ds_name = ds.name
-    motion, event_rate = ds.motion, ds.event_rate
-
-    def run(batches: Iterable[pd.DataFrame]):
-        from repro.video.datasets import dataset as _lookup
-
-        d = _lookup(ds_name)
-        for pdf in batches:
-            out = []
-            for r in pdf.itertuples(index=False):
-                frames = segment_frames(d, int(r.segment_id))
-                n = len(frames)
-                active = np.ones(n, dtype=bool)
-                for st in plan:
-                    mask = active & sampled_frame_mask(n, st["cf"].sampling)
-                    processed = frames[mask]
-                    op = OPERATORS[st["op"]]
-                    pred = (
-                        op.detect(processed, st["cf"], motion, event_rate)
-                        if len(processed)
-                        else np.zeros(0, dtype=bool)
-                    )
-                    out.append((int(r.segment_id), st["stage"], st["op"], int(pred.sum())))
-                    active = _propagate(active, mask, pred, n)
-            yield pd.DataFrame(out, columns=["segment_id", "stage", "op", "flagged"])
-
-    return segs.mapInPandas(run, schema="segment_id long, stage long, op string, flagged long")
+    _, rows = _cascade(spark, provider, ds, accuracy, hours)
+    return rows.select("segment_id", "stage", "op", "flagged")

@@ -31,9 +31,10 @@ class Dataset:
     source: str  # camera type, for documentation
 
     def __post_init__(self) -> None:
-        assert 0.0 < self.motion < 1.0
-        assert 0.0 < self.event_rate < 1.0
-        assert self.query in ("A", "B")
+        if not (0.0 < self.motion < 1.0 and 0.0 < self.event_rate < 1.0):
+            raise ValueError(f"{self.name}: motion and event_rate must be in (0, 1)")
+        if self.query not in ("A", "B"):
+            raise ValueError(f"{self.name}: query must be 'A' or 'B', not {self.query!r}")
 
 
 DATASETS: dict[str, Dataset] = {

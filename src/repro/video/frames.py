@@ -105,15 +105,11 @@ def frames_df(
     seg_df = spark.createDataFrame(
         pd.DataFrame({"dataset": ds.name, "segment_id": np.int64(segment_ids)})
     )
-    name = ds.name
-    secs = seconds
 
     def gen(batches):
-        from repro.video.datasets import dataset as _lookup
-
         for pdf in batches:
             for seg in pdf["segment_id"]:
-                yield segment_frames(_lookup(name), int(seg), seconds=secs)
+                yield segment_frames(ds, int(seg), seconds=seconds)
 
     schema = (
         "dataset string, segment_id long, frame_id long, local_motion double, "

@@ -177,11 +177,11 @@ class TestCoding:
         assert sf.label() == "best-540p-1/30-100% [10-fast]"
 
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             F("ultra", 720, S(1), 1.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             F("best", 719, S(1), 1.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Coding("warp", 10)
 
 

@@ -1,10 +1,11 @@
 """Profiling substrate: memoization, mode equivalence, counters."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from repro.codec.model import decode_speed_x, raw_retrieval_speed_x, size_kb_per_s
-from repro.formats import Coding, Fidelity, RAW
+from repro.codec.model import raw_retrieval_speed_x, retrieval_speed_x, size_kb_per_s
+from repro.formats import Coding, Fidelity, RAW, SAMPLINGS, StorageFormat
 from repro.ops.library import OPERATORS
 from repro.profiler.consumption import ConsumptionProfiler
 from repro.profiler.storage import StorageProfiler
@@ -13,6 +14,10 @@ from repro.video.datasets import DATASETS
 S = Fraction
 F1 = Fidelity("good", 360, S(1, 2), 0.75)
 F2 = Fidelity("best", 720, S(1), 1.0)
+DIFF = OPERATORS["diff"]
+# same name as the library operator but a different model, and a new name
+DIFF_VARIANT = dataclasses.replace(DIFF, ar=0.9, a=3 * DIFF.a)
+CUSTOM = dataclasses.replace(DIFF_VARIANT, name="custom")
 
 
 class TestConsumptionProfiler:
@@ -55,10 +60,10 @@ class TestConsumptionProfiler:
         r = p.profile(OPERATORS["diff"], F1)
         assert r.cost == pytest.approx(1.0 / r.speed_x)
 
-    def test_spark_equals_local(self, spark):
+    @pytest.mark.parametrize("op", [DIFF, DIFF_VARIANT, CUSTOM], ids=["diff", "variant", "custom"])
+    def test_spark_equals_local(self, spark, op):
         ps = ConsumptionProfiler(DATASETS["miami"], spark, mode="spark")
         pl = ConsumptionProfiler(DATASETS["miami"], mode="local")
-        op = OPERATORS["diff"]
         fs = [F1, F2, Fidelity("worst", 100, S(1, 30), 0.5)]
         for a, b in zip(ps.profile_many(op, fs), pl.profile_many(op, fs)):
             assert a.f1 == pytest.approx(b.f1, abs=1e-12)
@@ -85,19 +90,19 @@ class TestStorageProfiler:
             size_kb_per_s(F1, c, DATASETS["dashcam"].motion)
         )
 
-    @pytest.mark.parametrize("s", [S(1), S(1, 6), S(1, 30)])
+    @pytest.mark.parametrize("s", SAMPLINGS)
     def test_retrieval_matches_codec_model(self, s):
+        # the profiler is a memo over the codec model: exactly equal
         p = StorageProfiler(DATASETS["dashcam"])
-        c = Coding("slow", 10)
-        prof = p.profile(F2, c)
-        assert prof.retrieval_speed_x(s) == pytest.approx(
-            decode_speed_x(F2, c, s, DATASETS["dashcam"].motion)
-        )
+        for c in (Coding("slow", 10), RAW):
+            prof = p.profile(F2, c)
+            assert prof.retrieval_speed_x(s) == retrieval_speed_x(
+                StorageFormat(F2, c), s, DATASETS["dashcam"].motion
+            )
 
     def test_raw_profile(self):
         p = StorageProfiler(DATASETS["park"])
         prof = p.profile(F1, RAW)
-        assert prof.decode_frame_cost_s == 0.0
         assert prof.retrieval_speed_x(S(1, 6)) == pytest.approx(
             raw_retrieval_speed_x(F1, S(1, 6))
         )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.formats import FPS, SEGMENT_SECONDS
 from repro.synth_data import video_frames, video_segments
-from repro.video.datasets import DATASETS, PROFILING_DATASET, dataset
+from repro.video.datasets import DATASETS, PROFILING_DATASET, Dataset, dataset
 from repro.video.frames import sampled_frame_mask, segment_frames, segments_df
 
 
@@ -22,6 +22,8 @@ class TestDatasets:
         # §6.1: query A on jackson/miami/tucson, B on dashcam/park/airport
         a = {n for n, d in DATASETS.items() if d.query == "A"}
         assert a == {"jackson", "miami", "tucson"}
+        with pytest.raises(ValueError):
+            Dataset("x", motion=0.3, event_rate=0.3, query="C", source="none")
 
     def test_dashcam_has_highest_motion(self):
         # dash cameras contain high motion (§6.1); drives Fig 11b/c worst case
