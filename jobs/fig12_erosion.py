@@ -45,8 +45,7 @@ def main(spark, out=print, profiler_mode: str = "local"):
     tb = budgets_tb[2]
     ep = plans[tb]
     out(f"== Fig 12(b): per-SF surviving fraction per age (budget {tb} TB, k={ep.k:.2f}) ==")
-    labels = ["SFg" if n.golden else f"SF{i}" for i, n in enumerate(plan.nodes)]
-    out(f"{'age':>4s} " + " ".join(f"{l:>6s}" for l in labels) + f" {'GB':>8s}")
+    out(f"{'age':>4s} " + " ".join(f"{l:>6s}" for l in plan.sf_ids()) + f" {'GB':>8s}")
     for age, (deleted, kb_s) in enumerate(
         zip(ep.deleted_by_age, ep.storage_kb_s_by_age), start=1
     ):

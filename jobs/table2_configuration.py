@@ -27,12 +27,10 @@ def main(spark, out=print, profiler_mode: str = "spark"):
     t0 = time.time()
     cfg = derive_config(spark, ConfigOptions(profiler_mode=profiler_mode))
     elapsed = time.time() - t0
-    ids = {}
+    ids = cfg.storage.sf_ids()
     out("== Table 2(b): storage formats (SFs) ==")
     out(f"{'SF':5s} {'fidelity':24s} {'coding':12s} {'KB/s':>9s} {'retrieval x':>22s}")
-    for i, n in enumerate(cfg.storage.nodes):
-        sf_id = "SFg" if n.golden else f"SF{i}"
-        ids[i] = sf_id
+    for sf_id, n in zip(ids, cfg.storage.nodes):
         if n.consumers:
             speeds = sorted(n.retrieval_speed_for(c) for c in n.consumers)
             ret = f"{speeds[0]:.0f}-{speeds[-1]:.0f}x" if len(speeds) > 1 else f"{speeds[0]:.0f}x"

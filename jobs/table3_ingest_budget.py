@@ -36,8 +36,7 @@ def main(spark, out=print, profiler_mode: str = "local"):
         )
         mbs = plan.storage_kb_per_s() / 1024
         codings = ", ".join(
-            ("SFg" if n.golden else f"SF{i}") + "=" + n.coding.label()
-            for i, n in enumerate(plan.nodes)
+            f"{sf_id}={n.coding.label()}" for sf_id, n in zip(plan.sf_ids(), plan.nodes)
         )
         out(
             f"{budget:7.0f} {plan.ingest_cores(motion):6.2f} {mbs:6.2f} "

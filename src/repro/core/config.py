@@ -4,8 +4,9 @@
 profile the query-A operators on *jackson* and the query-B operators on
 *dashcam* (§6.1), derive one consumption format per <operator, accuracy>
 consumer with the §4.2 staircase search, then coalesce the storage-format set
-with §4.3 (optionally under an ingestion budget). Erosion planning (§4.4) is
-applied separately per storage budget via :func:`repro.core.erosion.plan_erosion`.
+with §4.3. Budgets are applied separately: ingestion (Table 3) by calling
+:func:`repro.core.storage.derive_storage_plan` with a budget, storage (§4.4)
+via :func:`repro.core.erosion.plan_erosion`.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ class ConfigOptions:
     accuracies: tuple[float, ...] = ACCURACY_LEVELS
     op_names: tuple[str, ...] = tuple(OPERATORS)
     profiler_mode: str = "spark"
-    ingest_budget_cores: float | None = None
 
 
 def derive_config(
@@ -90,12 +90,7 @@ def derive_config(
     # coding choices are safe for every ingested stream (motion only shrinks
     # sizes / speeds retrieval for the others).
     sprof = StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
-    storage = derive_storage_plan(
-        sprof,
-        consumers,
-        ingest_budget_cores=opt.ingest_budget_cores,
-        motion=DATASETS[PROFILING_DATASET["B"]].motion,
-    )
+    storage = derive_storage_plan(sprof, consumers)
     return VStoreConfig(
         consumers=consumers,
         derived=derived,

@@ -158,6 +158,7 @@ def plan_erosion(
 ) -> ErosionPlan:
     """Find the gentlest decay factor k whose lifespan storage cost fits the
     budget (binary search — higher k always costs less), then return its plan.
+    Raises ``ValueError`` if even the steepest decay does not fit.
 
     Ages are in days; each stored age holds 86400 s of video per stream.
     """
@@ -170,7 +171,11 @@ def plan_erosion(
     lo, hi = 0.0, _K_MAX
     floor = _plan_for_k(plan, lifespan_days, _K_MAX)
     if floor.total_storage_kb_s > budget_kb_s:
-        return floor  # budget unreachable even at max decay; caller can detect
+        need_tb = floor.total_storage_kb_s * day_s * 1024.0 / 1024.0**4
+        raise ValueError(
+            f"storage budget {storage_budget_bytes / 1024.0**4:.2f} TB is unreachable: "
+            f"even the steepest decay (k={_K_MAX:g}) needs {need_tb:.2f} TB"
+        )
     for _ in range(24):
         mid = (lo + hi) / 2.0
         if _plan_for_k(plan, lifespan_days, mid).total_storage_kb_s <= budget_kb_s:

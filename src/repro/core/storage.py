@@ -18,7 +18,8 @@ of consumers, RAW if no encoded coding is fast enough) reduces storage cost.
 Once no coalesce is storage-free, adapt to the ingestion budget: step coding
 speed up (cheaper encode, larger size — never violates R2 since cheaper
 coding decodes faster), and when coding is exhausted, coalesce further or
-fall back to RAW (Table 3's trajectory).
+fall back to RAW (Table 3's trajectory). A budget no move sequence can meet
+raises ``ValueError``.
 
 ``enumerate_storage_plan`` is the exhaustive set-partition baseline of §6.4,
 used to validate that coalescing finds equally storage-efficient plans.
@@ -26,7 +27,9 @@ used to validate that coalescing finds equally storage-efficient plans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.codec.model import encode_cost_cores
 from repro.formats import Coding, Fidelity, GOLDEN_CODING, RAW, StorageFormat, cheaper_coding, coding_space, knobwise_max
@@ -89,6 +92,10 @@ class StoragePlan:
         return sum(
             encode_cost_cores(n.fidelity, n.coding, motion) for n in self.nodes
         )
+
+    def sf_ids(self) -> list[str]:
+        """Display ids of the nodes: ``SFg`` for golden, ``SF<i>`` otherwise."""
+        return ["SFg" if n.golden else f"SF{i}" for i, n in enumerate(self.nodes)]
 
     def assignment(self) -> dict[Consumer, int]:
         return {c: i for i, n in enumerate(self.nodes) for c in n.consumers}
@@ -175,6 +182,26 @@ def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode
     return nodes
 
 
+def _coalesces(sp: StorageProfiler, nodes: list[SFNode]):
+    """Every feasible pairwise coalesce of ``nodes`` as (i, j, merged, Δstorage)."""
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        m = _merged(sp, nodes[i], nodes[j])
+        if m is not None:
+            yield i, j, m, m.size_kb_per_s - nodes[i].size_kb_per_s - nodes[j].size_kb_per_s
+
+
+def _coalesced(nodes: list[SFNode], i: int, j: int, m: SFNode) -> list[SFNode]:
+    """``nodes`` with i and j replaced by their merge ``m``; golden stays at index 0."""
+    rest = [n for k, n in enumerate(nodes) if k not in (i, j)]
+    return [m] + rest if m.golden else rest[:1] + [m] + rest[1:]
+
+
+def _retuned(nodes: list[SFNode], idx: int, prof: StorageProfile) -> list[SFNode]:
+    """``nodes`` with node ``idx`` re-coded to ``prof``."""
+    n = replace(nodes[idx], coding=prof.coding, profile=prof)
+    return nodes[:idx] + [n] + nodes[idx + 1 :]
+
+
 def derive_storage_plan(
     sp: StorageProfiler,
     consumers: list[Consumer],
@@ -182,32 +209,25 @@ def derive_storage_plan(
     ingest_budget_cores: float | None = None,
     motion: float | None = None,
 ) -> StoragePlan:
-    """Greedy coalescing (phase 1) + ingestion-budget adaptation (phase 2)."""
+    """Greedy coalescing (phase 1) + ingestion-budget adaptation (phase 2);
+    raises ``ValueError`` if no sequence of moves fits the ingestion budget."""
     if ingest_budget_cores is not None:
         assert motion is not None, "budget adaptation needs the stream's motion"
     runs0, hits0 = sp.runs, sp.hits
-    nodes = initial_nodes(sp, consumers)
-    plan = StoragePlan(nodes=nodes)
+    plan = StoragePlan(nodes=initial_nodes(sp, consumers))
 
-    # Phase 1: coalesce while storage cost does not increase.
+    # Phase 1: coalesce while storage cost does not increase; ties go to the
+    # last pair examined.
     while True:
-        best_delta, best_pair, best_node = 0.0, None, None
-        for i, j in itertools.combinations(range(len(nodes)), 2):
-            plan.pairs_examined += 1
-            m = _merged(sp, nodes[i], nodes[j])
-            if m is None:
-                continue
-            delta = m.size_kb_per_s - nodes[i].size_kb_per_s - nodes[j].size_kb_per_s
+        plan.pairs_examined += math.comb(len(plan.nodes), 2)
+        best_delta, best = 0.0, None
+        for i, j, m, delta in _coalesces(sp, plan.nodes):
             if delta <= best_delta + 1e-12:
-                best_delta, best_pair, best_node = delta, (i, j), m
-        if best_pair is None:
+                best_delta, best = delta, (i, j, m)
+        if best is None:
             break
-        i, j = best_pair
-        nodes = [n for k, n in enumerate(nodes) if k not in (i, j)]
-        # keep golden at index 0
-        nodes = ([best_node] + nodes) if best_node.golden else (nodes[:1] + [best_node] + nodes[1:])
+        plan.nodes = _coalesced(plan.nodes, *best)
         plan.rounds += 1
-        plan.nodes = nodes
 
     # Phase 2: respect the ingestion budget (Table 3).
     if ingest_budget_cores is not None:
@@ -222,57 +242,43 @@ def _adapt_to_budget(
     sp: StorageProfiler, plan: StoragePlan, budget: float, motion: float
 ) -> None:
     """Greedy: apply the ingest-reducing move with the least storage growth
-    until the cost fits; moves are coding speed-ups, RAW bypass, coalesces."""
+    (first minimum of (Δstorage, Δingest)) until the cost fits; moves are
+    coding speed-ups, RAW bypass and coalesces."""
 
     def cost(n: SFNode) -> float:
         return encode_cost_cores(n.fidelity, n.coding, motion)
 
-    while plan.ingest_cores(motion) > budget:
-        moves: list[tuple[float, float, str, object]] = []  # (d_storage, d_ingest, label, action)
-        nodes = plan.nodes
+    while (cores := plan.ingest_cores(motion)) > budget:
+        # (Δstorage, Δingest, label, nodes after); the node list is built
+        # only for the chosen move
+        nodes, moves = plan.nodes, []
         for idx, n in enumerate(nodes):
             if n.coding.raw:
                 continue
+            retunes = []
             c2 = cheaper_coding(n.coding)
             if c2 is not None:
-                prof = sp.profile(n.fidelity, c2)
-                d_sto = prof.size_kb_per_s - n.size_kb_per_s
-                d_ing = encode_cost_cores(n.fidelity, c2, motion) - cost(n)
-                if d_ing < 0:
-                    moves.append((d_sto, d_ing, f"speedup:{idx}", ("retune", idx, prof)))
+                retunes.append(("speedup", sp.profile(n.fidelity, c2)))
             if not n.golden:
                 raw = sp.profile(n.fidelity, RAW)
                 if _feasible(raw, n.consumers):
-                    d_sto = raw.size_kb_per_s - n.size_kb_per_s
-                    d_ing = encode_cost_cores(n.fidelity, RAW, motion) - cost(n)
-                    if d_ing < 0:
-                        moves.append((d_sto, d_ing, f"raw:{idx}", ("retune", idx, raw)))
-        for i, j in itertools.combinations(range(len(nodes)), 2):
-            m = _merged(sp, nodes[i], nodes[j])
-            if m is None:
-                continue
-            d_sto = m.size_kb_per_s - nodes[i].size_kb_per_s - nodes[j].size_kb_per_s
+                    retunes.append(("raw", raw))
+            for kind, prof in retunes:
+                d_ing = encode_cost_cores(n.fidelity, prof.coding, motion) - cost(n)
+                if d_ing < 0:
+                    moves.append((prof.size_kb_per_s - n.size_kb_per_s, d_ing, f"{kind}:{idx}",
+                                  partial(_retuned, nodes, idx, prof)))
+        for i, j, m, d_sto in _coalesces(sp, nodes):
             d_ing = cost(m) - cost(nodes[i]) - cost(nodes[j])
             if d_ing < 0:
-                moves.append((d_sto, d_ing, f"coalesce:{i},{j}", ("merge", (i, j), m)))
+                moves.append((d_sto, d_ing, f"coalesce:{i},{j}", partial(_coalesced, nodes, i, j, m)))
         if not moves:
-            break  # budget unreachable; leave the cheapest achievable plan
-        d_sto, d_ing, label, action = min(moves, key=lambda t: (t[0], t[1]))
-        plan.budget_moves.append(label)
-        if action[0] == "retune":
-            _, idx, prof = action
-            n = plan.nodes[idx]
-            plan.nodes[idx] = SFNode(
-                fidelity=n.fidelity,
-                coding=prof.coding,
-                consumers=n.consumers,
-                profile=prof,
-                golden=n.golden,
+            raise ValueError(
+                f"ingest budget {budget:g} cores is unreachable: the cheapest plan needs {cores:.2f} cores"
             )
-        else:
-            _, (i, j), m = action
-            rest = [n for k, n in enumerate(plan.nodes) if k not in (i, j)]
-            plan.nodes = ([m] + rest) if m.golden else (rest[:1] + [m] + rest[1:])
+        _, _, label, nodes_after = min(moves, key=lambda t: (t[0], t[1]))
+        plan.budget_moves.append(label)
+        plan.nodes = nodes_after()
         plan.rounds += 1
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -53,9 +52,11 @@ class ProfileResult:
         return 1.0 / self.speed_x
 
 
-def evaluate_profile(
-    op: Operator, f: Fidelity, ds: Dataset, segment_ids: tuple[int, ...]
-) -> ProfileResult:
+#: the 10-second sample clip every profiling run evaluates
+SAMPLE_SEGMENT = 0
+
+
+def evaluate_profile(op: Operator, f: Fidelity, ds: Dataset) -> ProfileResult:
     """Pure profiling arithmetic shared by the local and Spark paths.
 
     F1 is scored over *all* clip frames: the operator physically processes
@@ -66,12 +67,11 @@ def evaluate_profile(
     measured F1 exactly monotone across sampling rates — comparing F1 on
     different frame subsets would not be apples-to-apples.
     """
-    gts, preds = [], []
-    for seg in segment_ids:
-        frames = segment_frames(ds, seg)
-        gts.append(op.ground_truth(frames, ds.motion, ds.event_rate))
-        preds.append(op.detect(frames, f, ds.motion, ds.event_rate))
-    f1 = f1_score(np.concatenate(gts), np.concatenate(preds))
+    frames = segment_frames(ds, SAMPLE_SEGMENT)
+    f1 = f1_score(
+        op.ground_truth(frames, ds.motion, ds.event_rate),
+        op.detect(frames, f, ds.motion, ds.event_rate),
+    )
     return ProfileResult(f1=f1, speed_x=op.consumption_speed_x(f))
 
 
@@ -83,7 +83,6 @@ class ConsumptionProfiler:
         ds: Dataset,
         spark: SparkSession | None = None,
         *,
-        segment_ids: tuple[int, ...] = (0,),
         mode: str = "spark",
     ) -> None:
         assert mode in ("spark", "local", "analytic")
@@ -91,9 +90,8 @@ class ConsumptionProfiler:
             assert spark is not None, "spark mode needs a SparkSession"
         self.ds = ds
         self.spark = spark
-        self.segment_ids = segment_ids
         self.mode = mode
-        self.memo: dict[tuple[str, Fidelity], ProfileResult] = {}
+        self.memo: dict[tuple[Operator, Fidelity], ProfileResult] = {}
         self.runs = 0
         self.hits = 0
 
@@ -105,7 +103,7 @@ class ConsumptionProfiler:
 
     def profile_many(self, op: Operator, fs: list[Fidelity]) -> list[ProfileResult]:
         """Profile a batch of fidelities for one operator (one Spark job)."""
-        missing = [f for f in fs if (op.name, f) not in self.memo]
+        missing = [f for f in fs if (op, f) not in self.memo]
         self.hits += len(fs) - len(missing)
         missing = list(dict.fromkeys(missing))
         if missing:
@@ -119,28 +117,25 @@ class ConsumptionProfiler:
                     for f in missing
                 ]
             elif self.mode == "local":
-                results = [
-                    evaluate_profile(op, f, self.ds, self.segment_ids)
-                    for f in missing
-                ]
+                results = [evaluate_profile(op, f, self.ds) for f in missing]
             else:
                 results = self._profile_spark(op, missing)
             for f, r in zip(missing, results):
-                self.memo[(op.name, f)] = r
-        return [self.memo[(op.name, f)] for f in fs]
+                self.memo[(op, f)] = r
+        return [self.memo[(op, f)] for f in fs]
 
     # -- Spark data plane -----------------------------------------------------
 
     def _profile_spark(self, op: Operator, fs: list[Fidelity]) -> list[ProfileResult]:
         # The operator, fidelities and dataset reach the executor through the
         # closure; only each request's index travels as a column.
-        ds, seg_ids = self.ds, self.segment_ids
+        ds = self.ds
 
         def run(batches: Iterable[pd.DataFrame]):
             for pdf in batches:
                 rows = []
                 for i in pdf["id"]:
-                    pr = evaluate_profile(op, fs[i], ds, seg_ids)
+                    pr = evaluate_profile(op, fs[i], ds)
                     rows.append((int(i), pr.f1, pr.speed_x))
                 yield pd.DataFrame(rows, columns=["id", "f1", "speed_x"])
 

@@ -15,12 +15,12 @@ retrieved from (SF)? The four providers mirror the paper's comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.codec.model import retrieval_speed_x
 from repro.core.config import VStoreConfig
-from repro.core.storage import SFNode, initial_nodes
+from repro.core.storage import Consumer, SFNode, initial_nodes
 from repro.formats import Fidelity, GOLDEN_CODING, StorageFormat
-from repro.ops.base import Operator
 from repro.ops.library import OPERATORS
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS, PROFILING_DATASET
@@ -37,26 +37,39 @@ class StagePlanEntry:
     retrieval_x: float  # retrieval speed for this consumer's sampling rate
 
 
+@dataclass(frozen=True)
 class FormatProvider:
     """Maps (operator, accuracy) -> StagePlanEntry, plus the stored SF set."""
 
-    def __init__(self, name: str, entries: dict[tuple[str, float], StagePlanEntry], sfs: dict[str, StorageFormat]):
-        self.name = name
-        self.entries = entries
-        self.sfs = sfs
+    name: str
+    entries: dict[tuple[str, float], StagePlanEntry]
+    sfs: dict[str, StorageFormat]
 
     def entry(self, op_name: str, acc: float) -> StagePlanEntry:
         return self.entries[(op_name, acc)]
 
 
-def _entry(cf: Fidelity, sf: StorageFormat, sf_id: str, op: Operator, motion: float) -> StagePlanEntry:
-    return StagePlanEntry(
-        cf=cf,
-        sf=sf,
-        sf_id=sf_id,
-        consumption_speed_x=op.consumption_speed_x(cf),
-        retrieval_x=retrieval_speed_x(sf, cf.sampling, motion),
-    )
+def _provider(
+    name: str,
+    sfs: dict[str, StorageFormat],
+    route: Callable[[Consumer], tuple[Fidelity, str]],
+    cfg: VStoreConfig,
+    motion: float,
+) -> FormatProvider:
+    """Provider in which each consumer ``c`` consumes fidelity ``cf``
+    retrieved from ``sfs[sf_id]``, where ``(cf, sf_id) = route(c)``."""
+    entries = {}
+    for c in cfg.consumers:
+        cf, sf_id = route(c)
+        sf = sfs[sf_id]
+        entries[(c.op_name, c.target_acc)] = StagePlanEntry(
+            cf=cf,
+            sf=sf,
+            sf_id=sf_id,
+            consumption_speed_x=OPERATORS[c.op_name].consumption_speed_x(cf),
+            retrieval_x=retrieval_speed_x(sf, cf.sampling, motion),
+        )
+    return FormatProvider(name, entries, sfs)
 
 
 def _from_nodes(
@@ -65,45 +78,24 @@ def _from_nodes(
     """Provider that retrieves each consumer's CF from the node serving it."""
     sfs = {sf_id: n.storage_format() for sf_id, n in zip(ids, nodes)}
     sf_id_of = {c: sf_id for sf_id, n in zip(ids, nodes) for c in n.consumers}
-    entries = {
-        (c.op_name, c.target_acc): _entry(
-            c.cf, sfs[sf_id_of[c]], sf_id_of[c], OPERATORS[c.op_name], motion
-        )
-        for c in cfg.consumers
-    }
-    return FormatProvider(name, entries, sfs)
+    return _provider(name, sfs, lambda c: (c.cf, sf_id_of[c]), cfg, motion)
 
 
 def vstore_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
-    nodes = cfg.storage.nodes
-    ids = ["SFg" if n.golden else f"SF{i}" for i, n in enumerate(nodes)]
-    return _from_nodes("vstore", ids, nodes, cfg, motion)
+    return _from_nodes("vstore", cfg.storage.sf_ids(), cfg.storage.nodes, cfg, motion)
 
 
 def one_to_one_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
     """Golden format in, golden fidelity out (consumers get full fidelity)."""
     g = StorageFormat(cfg.storage.golden.fidelity, GOLDEN_CODING)
-    sfs = {"SFg": g}
-    entries = {
-        (c.op_name, c.target_acc): _entry(
-            g.fidelity, g, "SFg", OPERATORS[c.op_name], motion
-        )
-        for c in cfg.consumers
-    }
-    return FormatProvider("1->1", entries, sfs)
+    return _provider("1->1", {"SFg": g}, lambda c: (g.fidelity, "SFg"), cfg, motion)
 
 
 def one_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
-    """Golden format in, VStore CFs out (decode golden, convert per consumer)."""
+    """Golden format in, VStore CFs out (decode golden at each consumer's
+    sampling, convert per consumer)."""
     g = StorageFormat(cfg.storage.golden.fidelity, GOLDEN_CODING)
-    sfs = {"SFg": g}
-    entries = {}
-    for c in cfg.consumers:
-        # retrieval must decode the golden stream at the consumer's sampling
-        entries[(c.op_name, c.target_acc)] = _entry(
-            c.cf, g, "SFg", OPERATORS[c.op_name], motion
-        )
-    return FormatProvider("1->N", entries, sfs)
+    return _provider("1->N", {"SFg": g}, lambda c: (c.cf, "SFg"), cfg, motion)
 
 
 def n_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:

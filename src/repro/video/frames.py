@@ -35,15 +35,9 @@ def _seed(dataset_name: str, segment_id: int, salt: int = 0) -> int:
     return zlib.crc32(f"{dataset_name}/{int(segment_id)}/{salt}".encode())
 
 
-def segment_frames(
-    ds: Dataset,
-    segment_id: int,
-    *,
-    seconds: int = SEGMENT_SECONDS,
-    fps: int = FPS,
-) -> pd.DataFrame:
+def segment_frames(ds: Dataset, segment_id: int) -> pd.DataFrame:
     """All frames of one segment as a pandas DataFrame (deterministic)."""
-    n = seconds * fps
+    n = SEGMENT_SECONDS * FPS
     g = np.random.default_rng(_seed(ds.name, segment_id))
     local_motion = np.clip(
         ds.motion + 0.1 * g.standard_normal(n), 0.01, 0.99
@@ -70,36 +64,24 @@ def sampled_frame_mask(n_frames: int, sampling) -> np.ndarray:
     return idx % max(1, k) == 0
 
 
-def segments_df(
-    spark: SparkSession,
-    ds: Dataset,
-    *,
-    hours: float = 1.0,
-    seconds_per_segment: int = SEGMENT_SECONDS,
-) -> DataFrame:
+def segments_df(spark: SparkSession, ds: Dataset, *, hours: float = 1.0) -> DataFrame:
     """Segment metadata for ``hours`` of one stream as a Spark DataFrame."""
-    n = max(1, int(hours * 3600 / seconds_per_segment))
+    n = max(1, int(hours * 3600 / SEGMENT_SECONDS))
     seg = np.arange(n, dtype=np.int64)
     g = np.random.default_rng(_seed(ds.name, -1))
     pdf = pd.DataFrame(
         {
             "dataset": ds.name,
             "segment_id": seg,
-            "start_s": seg * seconds_per_segment,
-            "seconds": np.int64(seconds_per_segment),
+            "start_s": seg * SEGMENT_SECONDS,
+            "seconds": np.int64(SEGMENT_SECONDS),
             "motion": np.clip(ds.motion + 0.05 * g.standard_normal(n), 0.02, 0.98),
         }
     )
     return spark.createDataFrame(pdf)
 
 
-def frames_df(
-    spark: SparkSession,
-    ds: Dataset,
-    segment_ids: list[int],
-    *,
-    seconds: int = SEGMENT_SECONDS,
-) -> DataFrame:
+def frames_df(spark: SparkSession, ds: Dataset, segment_ids: list[int]) -> DataFrame:
     """Frames of the given segments as one Spark DataFrame (for profiling and
     query execution; generated per-partition inside a mapInPandas pass)."""
     seg_df = spark.createDataFrame(
@@ -109,7 +91,7 @@ def frames_df(
     def gen(batches):
         for pdf in batches:
             for seg in pdf["segment_id"]:
-                yield segment_frames(ds, int(seg), seconds=seconds)
+                yield segment_frames(ds, int(seg))
 
     schema = (
         "dataset string, segment_id long, frame_id long, local_motion double, "

@@ -154,6 +154,12 @@ class TestPlanErosion:
         assert ep.k > 0
         assert ep.total_storage_kb_s * 86_400 * 1024 <= budget * 1.001
 
+    def test_unreachable_budget_raises(self, plan):
+        # golden is never eroded, so 10 days cannot fit into 3 days of space
+        day_bytes = plan.storage_kb_per_s() * 86_400 * 1024
+        with pytest.raises(ValueError, match="unreachable"):
+            plan_erosion(plan, lifespan_days=10, storage_budget_bytes=3 * day_bytes)
+
     def test_tighter_budget_higher_k(self, plan):
         day_bytes = plan.storage_kb_per_s() * 86_400 * 1024
         k = [

@@ -36,6 +36,15 @@ class TestConsumptionProfiler:
         p.profile(OPERATORS["snn"], F1)
         assert p.runs == 2
 
+    def test_memo_keys_on_operator_not_name(self):
+        # a same-named variant must get its own profile, not diff's memo entry
+        f = Fidelity("best", 200, S(1, 2), 1.0)
+        shared = ConsumptionProfiler(DATASETS["jackson"], mode="local")
+        shared.profile(DIFF, f)
+        fresh = ConsumptionProfiler(DATASETS["jackson"], mode="local")
+        assert shared.profile(DIFF_VARIANT, f) == fresh.profile(DIFF_VARIANT, f)
+        assert shared.runs == 2
+
     def test_batch_dedupes(self):
         p = ConsumptionProfiler(DATASETS["jackson"], mode="local")
         rs = p.profile_many(OPERATORS["diff"], [F1, F1, F2])

@@ -189,6 +189,13 @@ class TestBudgetAdaptation:
     def test_unbudgeted_plan_records_no_moves(self, full_plan):
         assert full_plan.budget_moves == []
 
+    def test_unreachable_budget_raises(self, full_consumers):
+        sp = StorageProfiler(DASH)
+        with pytest.raises(ValueError, match="unreachable"):
+            derive_storage_plan(
+                sp, full_consumers, ingest_budget_cores=0.01, motion=DASH.motion
+            )
+
     def test_budget_moves_prefer_coding_speedups_first(self, full_consumers):
         sp = StorageProfiler(DASH)
         plan = derive_storage_plan(
