@@ -3,10 +3,11 @@
 ``derive_config`` runs the whole pipeline the paper's Table 2 snapshot shows:
 profile the query-A operators on *jackson* and the query-B operators on
 *dashcam* (§6.1), derive one consumption format per <operator, accuracy>
-consumer with the §4.2 staircase search, then coalesce the storage-format set
-with §4.3. Budgets are applied separately: ingestion (Table 3) by calling
-:func:`repro.core.storage.derive_storage_plan` with a budget, storage (§4.4)
-via :func:`repro.core.erosion.plan_erosion`.
+consumer with the §4.2 staircase search (all operators of one accuracy in
+lockstep waves, one profiling batch per wave), then coalesce the
+storage-format set with §4.3. Budgets are applied separately: ingestion
+(Table 3) by calling :func:`repro.core.storage.derive_storage_plan` with a
+budget, storage (§4.4) via :func:`repro.core.erosion.plan_erosion`.
 """
 from __future__ import annotations
 
@@ -15,12 +16,18 @@ from dataclasses import dataclass
 from pyspark.sql import SparkSession
 
 from repro.codec.model import raw_retrieval_speed_x
-from repro.core.consumption import DerivedCF, derive_consumption_format
+from repro.core import consumption
+from repro.core.consumption import DerivedCF, derive_consumption_formats
 from repro.core.storage import Consumer, StoragePlan, derive_storage_plan
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
 from repro.profiler.consumption import ConsumptionProfiler
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS, PROFILING_DATASET
+
+#: The one-consumer entry point, named here because perfbench's tracer spans
+#: ``repro.core.config.derive_consumption_format``; ``derive_config`` itself
+#: runs the lockstep ``derive_consumption_formats``.
+derive_consumption_format = consumption.derive_consumption_format
 
 
 @dataclass
@@ -66,15 +73,18 @@ def derive_config(
         )
         for q in ("A", "B")
     }
-    consumers: list[Consumer] = []
+    # One lockstep pass per accuracy, richest first so memoization helps the
+    # lower targets: each operator's searches then meet the memo in the same
+    # order as one-at-a-time derivation would.
+    ops = [OPERATORS[name] for name in opt.op_names]
     derived: dict[tuple[str, float], DerivedCF] = {}
+    for acc in sorted(opt.accuracies, reverse=True):
+        found = derive_consumption_formats([(profilers[op.query], op) for op in ops], acc)
+        derived.update(((name, acc), d) for name, d in zip(opt.op_names, found))
+    consumers: list[Consumer] = []
     for name in opt.op_names:
-        op = OPERATORS[name]
-        prof = profilers[op.query]
-        # richest accuracy first so memoization helps the lower targets
         for acc in sorted(opt.accuracies, reverse=True):
-            d = derive_consumption_format(prof, op, acc)
-            derived[(name, acc)] = d
+            d = derived[(name, acc)]
             # R2 demand cap: a consumer cannot be fed faster than the fastest
             # possible retrieval of its own fidelity (raw frames off disk), so
             # the speed the storage derivation must satisfy is the min of the

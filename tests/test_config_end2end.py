@@ -81,6 +81,25 @@ class TestSparkDerivation:
             n.storage_format() for n in b.storage.nodes
         ]
 
+    def test_one_spark_job_per_wave(self, spark):
+        # nn@0.95 and ocr@0.95 derive in 10 lockstep waves (the longer
+        # search, ocr's: 9 probes on its full-crop plane, then one quality
+        # probe); every wave's memo misses, across both profiling streams,
+        # share one shuffle-free Spark job (60 jobs one probe at a time)
+        sc = spark.sparkContext
+        group = "test-one-spark-job-per-wave"
+        sc.setJobGroup(group, "nn+ocr@0.95 derivation")
+        try:
+            derive_config(
+                spark,
+                ConfigOptions(profiler_mode="spark", op_names=("nn", "ocr"), accuracies=(0.95,)),
+            )
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        # the status tracker is fed by the asynchronous listener bus
+        sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 10
+
 
 class TestComplexity:
     def test_configuration_knob_count(self, cfg):

@@ -1,10 +1,15 @@
 """§4.2 staircase boundary search vs exhaustive profiling (Fig 13)."""
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.config as config
+from repro.core.config import ConfigOptions, derive_config
 from repro.core.consumption import (
     derive_consumption_format,
+    derive_consumption_formats,
     exhaustive_consumption_format,
 )
 from repro.formats import CROPS, QUALITIES, RESOLUTIONS, SAMPLINGS
@@ -133,3 +138,66 @@ class TestStructure:
         d_nn = derive_consumption_format(pa, nn, 0.95)
         d_mo = derive_consumption_format(pb, motion, 0.95)
         assert d_nn.speed_x < d_mo.speed_x / 100
+
+
+def one_at_a_time(mode, op_names, accuracies):
+    """Per-consumer derivations on fresh profilers, in ``derive_config``'s
+    consumer order: the reference the lockstep waves must reproduce."""
+    profilers = {
+        q: ConsumptionProfiler(DATASETS[PROFILING_DATASET[q]], mode=mode) for q in "AB"
+    }
+    derived = {}
+    for name in op_names:
+        op = OPERATORS[name]
+        for acc in sorted(accuracies, reverse=True):
+            derived[(name, acc)] = derive_consumption_format(profilers[op.query], op, acc)
+    ps = profilers.values()
+    return derived, sum(p.runs for p in ps), sum(p.hits for p in ps)
+
+
+def lockstep(mode, op_names, accuracies):
+    """``derive_config``'s derivation, with the runs and hits of the
+    profilers it made."""
+    made = []
+
+    class Recording(ConsumptionProfiler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    opts = ConfigOptions(profiler_mode=mode, op_names=op_names, accuracies=accuracies)
+    with mock.patch.object(config, "ConsumptionProfiler", Recording):
+        cfg = derive_config(options=opts)
+    assert len(made) == 2
+    return cfg.derived, sum(p.runs for p in made), sum(p.hits for p in made)
+
+
+class TestLockstepWaves:
+    @pytest.mark.parametrize(
+        "mode,op_names,accuracies,runs,hits",
+        [
+            ("local", tuple(OPERATORS), ACCURACY_LEVELS, 523, 536),
+            ("analytic", tuple(OPERATORS), ACCURACY_LEVELS, 504, 569),
+            # a wave loop that counted its own just-filled memo entries as hits
+            # would report 34 hits here
+            ("local", ("nn", "ocr"), (0.95,), 30, 4),
+        ],
+    )
+    def test_matches_one_at_a_time(self, mode, op_names, accuracies, runs, hits):
+        want = one_at_a_time(mode, op_names, accuracies)
+        assert lockstep(mode, op_names, accuracies) == want
+        assert want[1:] == (runs, hits)
+
+    @given(
+        op_names=st.lists(st.sampled_from(list(OPERATORS)), min_size=1, unique=True),
+        accuracies=st.lists(st.sampled_from(ACCURACY_LEVELS), min_size=1, unique=True),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_subsets_match_one_at_a_time(self, op_names, accuracies):
+        args = ("analytic", tuple(op_names), tuple(accuracies))
+        assert lockstep(*args) == one_at_a_time(*args)
+
+    def test_repeated_search_rejected(self):
+        p, op = profiler_for("nn", "analytic")
+        with pytest.raises(ValueError):
+            derive_consumption_formats([(p, op), (p, op)], 0.9)
