@@ -1,7 +1,5 @@
 """Fig 11b/c benchmark: per-stream storage and ingestion costs via the
 mapInPandas transcode job over the segment store."""
-import pytest
-
 from benchmarks.conftest import one_shot
 from repro.query.alternatives import make_provider
 from repro.store.segment_store import SegmentStore

@@ -5,8 +5,6 @@ SF coalescing) and prints the derived Table-2 analog. The Spark variant
 exercises the mapInPandas profiling data plane; the local variant measures
 the pure algorithm.
 """
-import pytest
-
 from benchmarks.conftest import one_shot
 from jobs.table2_configuration import main as table2_main
 from repro.core.config import ConfigOptions, derive_config

@@ -16,7 +16,7 @@ import sys as _sys
 # allow `python jobs/<name>.py` and spark-submit: put the repo root on the path
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
-from jobs.common import Tee, get_spark
+from jobs.common import Tee, spark_session
 from repro.codec.transcode import ingest_cores_per_stream, storage_kb_per_s
 from repro.core.config import ConfigOptions, derive_config
 from repro.ops.library import ACCURACY_LEVELS
@@ -27,8 +27,8 @@ from repro.video.datasets import DATASETS
 KINDS = ("vstore", "1->1", "1->N", "N->N")
 
 
-def main(spark, out=print, hours: float = 1.0, profiler_mode: str = "local"):
-    cfg = derive_config(spark, ConfigOptions(profiler_mode=profiler_mode))
+def main(spark, out=print, hours: float = 1.0):
+    cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
     results = {}
     out(f"== Fig 11(a): query speed (x-realtime), {hours} h of video ==")
     out(f"{'dataset':>8s} {'F1':>5s} " + " ".join(f"{k:>9s}" for k in KINDS))
@@ -81,5 +81,5 @@ def main(spark, out=print, hours: float = 1.0, profiler_mode: str = "local"):
 
 if __name__ == "__main__":
     out = Tee("fig11_end_to_end")
-    main(get_spark("fig11"), out)
+    main(spark_session(), out)
     out.close()

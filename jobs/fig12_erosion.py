@@ -13,15 +13,15 @@ import sys as _sys
 # allow `python jobs/<name>.py` and spark-submit: put the repo root on the path
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
-from jobs.common import Tee, get_spark
+from jobs.common import Tee, spark_session
 from repro.core.config import ConfigOptions, derive_config
 from repro.core.erosion import plan_erosion
 
 LIFESPAN_DAYS = 10
 
 
-def main(spark, out=print, profiler_mode: str = "local"):
-    cfg = derive_config(spark, ConfigOptions(profiler_mode=profiler_mode))
+def main(spark, out=print):
+    cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
     plan = cfg.storage
     day_tb = plan.storage_kb_per_s() * 86400 * 1024 / 1024**4
     no_erosion_tb = day_tb * LIFESPAN_DAYS
@@ -60,5 +60,5 @@ def main(spark, out=print, profiler_mode: str = "local"):
 
 if __name__ == "__main__":
     out = Tee("fig12_erosion")
-    main(get_spark("fig12"), out)
+    main(spark_session(), out)
     out.close()

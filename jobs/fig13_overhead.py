@@ -19,7 +19,7 @@ import sys as _sys
 # allow `python jobs/<name>.py` and spark-submit: put the repo root on the path
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
-from jobs.common import Tee, get_spark
+from jobs.common import Tee, spark_session
 from repro.core.config import ConfigOptions, derive_config
 from repro.core.consumption import (
     derive_consumption_format,
@@ -32,15 +32,15 @@ from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS, PROFILING_DATASET
 
 
-def main(spark, out=print, profiler_mode: str = "local"):
+def main(spark, out=print):
     out("== Fig 13: deriving consumption formats (all 4 accuracies per op) ==")
     out(f"{'op':>8s} {'staircase':>10s} {'exhaustive':>11s} {'reduction':>10s} "
         f"{'profiled-sec (st/ex)':>22s}")
     tot_s = tot_e = 0
     for name, op in OPERATORS.items():
         ds = DATASETS[PROFILING_DATASET[op.query]]
-        p = ConsumptionProfiler(ds, spark, mode=profiler_mode)
-        e = ConsumptionProfiler(ds, spark, mode=profiler_mode)
+        p = ConsumptionProfiler(ds, spark, mode="local")
+        e = ConsumptionProfiler(ds, spark, mode="local")
         for acc in sorted(ACCURACY_LEVELS, reverse=True):
             derive_consumption_format(p, op, acc)
             exhaustive_consumption_format(e, op, acc)
@@ -54,7 +54,7 @@ def main(spark, out=print, profiler_mode: str = "local"):
     out("")
 
     out("== §6.4: storage-format derivation, coalescing vs enumeration ==")
-    cfg = derive_config(spark, ConfigOptions(profiler_mode=profiler_mode))
+    cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
     b_consumers = [c for c in cfg.consumers if c.op_name in QUERY_B]
     t0 = time.time()
     sp1 = StorageProfiler(DATASETS["dashcam"])
@@ -83,5 +83,5 @@ def main(spark, out=print, profiler_mode: str = "local"):
 
 if __name__ == "__main__":
     out = Tee("fig13_overhead")
-    main(get_spark("fig13"), out)
+    main(spark_session(), out)
     out.close()

@@ -15,7 +15,7 @@ import sys as _sys
 # allow `python jobs/<name>.py` and spark-submit: put the repo root on the path
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
-from jobs.common import Tee, get_spark
+from jobs.common import Tee, spark_session
 from repro.core.config import ConfigOptions, derive_config
 from repro.core.storage import choose_coding
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
@@ -72,5 +72,5 @@ def main(spark, out=print, profiler_mode: str = "spark"):
 
 if __name__ == "__main__":
     out = Tee("table2_configuration")
-    main(get_spark("table2"), out)
+    main(spark_session(), out)
     out.close()

@@ -14,7 +14,7 @@ import sys as _sys
 # allow `python jobs/<name>.py` and spark-submit: put the repo root on the path
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
-from jobs.common import Tee, get_spark
+from jobs.common import Tee, spark_session
 from repro.core.config import ConfigOptions, derive_config
 from repro.core.storage import derive_storage_plan
 from repro.profiler.storage import StorageProfiler
@@ -23,8 +23,8 @@ from repro.video.datasets import DATASETS
 BUDGETS = (12.0, 8.0, 4.0, 3.0, 2.0, 1.0)
 
 
-def main(spark, out=print, profiler_mode: str = "local"):
-    cfg = derive_config(spark, ConfigOptions(profiler_mode=profiler_mode))
+def main(spark, out=print):
+    cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
     motion = DATASETS["dashcam"].motion
     out("== Table 3: ingestion-budget adaptation (profiled on dashcam) ==")
     out(f"{'budget':>7s} {'cores':>6s} {'MB/s':>6s} {'GB/day':>8s} {'#SF':>4s}  codings")
@@ -48,5 +48,5 @@ def main(spark, out=print, profiler_mode: str = "local"):
 
 if __name__ == "__main__":
     out = Tee("table3_ingest_budget")
-    main(get_spark("table3"), out)
+    main(spark_session(), out)
     out.close()

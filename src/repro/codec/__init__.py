@@ -1,10 +1,1 @@
 """Codec substrate: analytic encode/decode/size model + Spark transcode job."""
-from repro.codec.model import (  # noqa: F401
-    decode_speed_x,
-    encode_cost_cores,
-    encoded_size_kb_per_s,
-    raw_retrieval_speed_x,
-    raw_size_kb_per_s,
-    retrieval_speed_x,
-    size_kb_per_s,
-)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.formats import Coding, Fidelity, StorageFormat, FPS, pixel_ratio
+from repro.formats import Coding, Fidelity, StorageFormat, FPS, pixel_ratio, pixels
 
 # ---- calibration tables -----------------------------------------------------
 
@@ -81,8 +81,7 @@ def _sampling_size_factor(s: Fraction | float) -> float:
 def raw_size_kb_per_s(f: Fidelity) -> float:
     """On-disk KB per video-second when storing raw frames (coding bypass)."""
     frames = FPS * float(f.sampling)
-    px = f.resolution * (f.resolution * 16.0 / 9.0) * f.crop
-    return frames * px * RAW_BYTES_PER_PIXEL / 1024.0
+    return frames * pixels(f) * RAW_BYTES_PER_PIXEL / 1024.0
 
 
 def encoded_size_kb_per_s(f: Fidelity, c: Coding, motion: float) -> float:

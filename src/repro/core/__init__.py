@@ -1,9 +1,1 @@
 """VStore's contribution: backward derivation of configuration (paper §4)."""
-from repro.core.consumption import (  # noqa: F401
-    DerivedCF,
-    derive_consumption_format,
-    exhaustive_consumption_format,
-)
-from repro.core.storage import Consumer, SFNode, StoragePlan, derive_storage_plan  # noqa: F401
-from repro.core.erosion import ErosionPlan, plan_erosion  # noqa: F401
-from repro.core.config import VStoreConfig, derive_config  # noqa: F401

@@ -1,10 +1,1 @@
 """Operator substrate: the six query operators and the consumer set."""
-from repro.ops.base import Operator, f1_score  # noqa: F401
-from repro.ops.library import (  # noqa: F401
-    ACCURACY_LEVELS,
-    CONSUMERS,
-    OPERATORS,
-    QUERY_A,
-    QUERY_B,
-    operator,
-)

@@ -18,6 +18,7 @@ mirroring the paper's ground-truth definition (§6.1).
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,6 @@ class Operator:
 
 def hashable_index(name: str) -> int:
     """Stable small integer per operator name (process-independent)."""
-    import zlib
-
     return zlib.crc32(name.encode()) % 97
 
 

@@ -1,5 +1,3 @@
 """Profiling substrate: measures (accuracy, speed) of operators and
 (size, retrieval speed) of storage formats on sample clips, with memoization
 (the configuration-overhead accounting of paper §6.4 / Fig 13)."""
-from repro.profiler.consumption import ConsumptionProfiler, ProfileResult  # noqa: F401
-from repro.profiler.storage import StorageProfile, StorageProfiler  # noqa: F401

@@ -1,10 +1,1 @@
 """Query execution: operator cascades over retrieved video (paper §6.2)."""
-from repro.query.cascade import QueryResult, StageExec, run_query  # noqa: F401
-from repro.query.alternatives import (  # noqa: F401
-    FormatProvider,
-    make_provider,
-    one_to_n_provider,
-    one_to_one_provider,
-    n_to_n_provider,
-    vstore_provider,
-)

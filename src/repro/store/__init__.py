@@ -1,2 +1,1 @@
 """Storage backend substrate: parquet-backed segment store (LMDB substitute)."""
-from repro.store.segment_store import SegmentStore  # noqa: F401

@@ -80,21 +80,3 @@ def segments_df(spark: SparkSession, ds: Dataset, *, hours: float = 1.0) -> Data
     )
     return spark.createDataFrame(pdf)
 
-
-def frames_df(spark: SparkSession, ds: Dataset, segment_ids: list[int]) -> DataFrame:
-    """Frames of the given segments as one Spark DataFrame (for profiling and
-    query execution; generated per-partition inside a mapInPandas pass)."""
-    seg_df = spark.createDataFrame(
-        pd.DataFrame({"dataset": ds.name, "segment_id": np.int64(segment_ids)})
-    )
-
-    def gen(batches):
-        for pdf in batches:
-            for seg in pdf["segment_id"]:
-                yield segment_frames(ds, int(seg))
-
-    schema = (
-        "dataset string, segment_id long, frame_id long, local_motion double, "
-        "u double, v double, w double"
-    )
-    return seg_df.mapInPandas(gen, schema=schema)

@@ -10,8 +10,8 @@ from repro.core.erosion import (
     plan_erosion,
     relative_speed,
 )
-from repro.core.storage import Consumer, SFNode, StoragePlan, derive_storage_plan
-from repro.formats import Fidelity, GOLDEN_CODING, RAW, Coding
+from repro.core.storage import Consumer, SFNode, StoragePlan
+from repro.formats import Fidelity, GOLDEN_CODING, Coding
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS
 

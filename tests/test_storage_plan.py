@@ -11,7 +11,6 @@ from repro.core.storage import (
     initial_nodes,
 )
 from repro.formats import Fidelity, GOLDEN_CODING, knobwise_max
-from repro.ops.library import OPERATORS
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS
 

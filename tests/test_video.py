@@ -6,7 +6,6 @@ import pandas as pd
 import pytest
 
 from repro.formats import FPS, SEGMENT_SECONDS
-from repro.synth_data import video_frames, video_segments
 from repro.video.datasets import DATASETS, PROFILING_DATASET, Dataset, dataset
 from repro.video.frames import sampled_frame_mask, segment_frames, segments_df
 
@@ -100,23 +99,6 @@ class TestSparkGenerators:
     def test_segments_df_schema(self, spark):
         cols = set(segments_df(spark, DATASETS["tucson"], hours=0.01).columns)
         assert {"dataset", "segment_id", "start_s", "seconds", "motion"} <= cols
-
-    def test_frames_df_matches_local(self, spark):
-        # Spark worker generation must agree with driver-side generation
-        got = (
-            video_frames(spark, dataset="airport", segments=2)
-            .toPandas()
-            .sort_values(["segment_id", "frame_id"])
-            .reset_index(drop=True)
-        )
-        want = pd.concat(
-            [segment_frames(DATASETS["airport"], i) for i in range(2)],
-            ignore_index=True,
-        )[got.columns]
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-    def test_video_segments_wrapper(self, spark):
-        assert video_segments(spark, dataset="park", hours=0.05).count() == 18
 
     def test_segment_store_oracle_on_counts(self, spark):
         # segment metadata aggregates agree between Spark SQL and DuckDB
