@@ -13,7 +13,7 @@ import sys as _sys
 # allow `python jobs/<name>.py` and spark-submit: put the repo root on the path
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
-from jobs.common import Tee, spark_session
+from jobs.common import Tee
 from repro.core.config import ConfigOptions, derive_config
 from repro.core.erosion import plan_erosion
 
@@ -60,5 +60,5 @@ def main(spark, out=print):
 
 if __name__ == "__main__":
     out = Tee("fig12_erosion")
-    main(spark_session(), out)
+    main(None, out)  # local-mode profiling: no Spark session needed
     out.close()

@@ -11,11 +11,14 @@ A consumer that must read a fraction p of segments from a fallback on which
 its effective speed is a fraction alpha of the original runs at relative
 speed alpha / ((1-p) * alpha + p) (generalized here to multi-level fallback
 chains). The *overall* speed of an age is the max-min-fair minimum of all
-consumers' relative speeds. Per age, the planner repeatedly deletes a small
-quantum from whichever erodible format keeps that minimum highest (the
-fair-scheduler analogue of the paper), until the age's power-law target is
-met. The decay factor k is the smallest (binary search) for which the
-lifespan storage cost fits the budget.
+consumers' relative speeds. The planner repeatedly deletes a small quantum
+from whichever erodible format keeps that minimum highest (the fair-scheduler
+analogue of the paper). That step depends only on what is already deleted —
+not on the age or on k — so the deletion states form one *trajectory*, from
+nothing deleted to every erodible format gone, built once per plan. Ages
+carry their state forward: for a given k, each age advances along the
+trajectory until its power-law target is met. The decay factor k is the
+smallest (binary search) for which the lifespan storage cost fits the budget.
 """
 from __future__ import annotations
 
@@ -41,7 +44,8 @@ def build_richer_tree(nodes: list[SFNode]) -> dict[int, int | None]:
             for j, m in enumerate(nodes)
             if j != i and m.fidelity.richer_eq(n.fidelity) and not n.fidelity.richer_eq(m.fidelity)
         ]
-        assert richer, f"node {i} has no richer fallback (golden must dominate)"
+        if not richer:
+            raise ValueError(f"node {i} has no richer fallback (golden must dominate)")
         parent[i] = min(richer)[1]
     return parent
 
@@ -105,9 +109,20 @@ def _p_target(x: int, k: float, p_min: float) -> float:
     return (1.0 - p_min) * float(x) ** (-k) + p_min
 
 
-def _plan_for_k(
-    plan: StoragePlan, lifespan_days: int, k: float
-) -> ErosionPlan:
+@dataclass
+class _Trajectory:
+    """The greedy deletion sequence of one storage plan: state ``j`` is the
+    per-SF deleted fractions after ``j`` quanta, with its overall speed and
+    storage rate. It starts with nothing deleted and ends with every
+    erodible SF gone."""
+
+    p_min: float
+    deleted: list[dict[int, float]]
+    overall: list[float]
+    storage_kb_s: list[float]
+
+
+def _trajectory(plan: StoragePlan) -> _Trajectory:
     nodes = plan.nodes
     assignment = plan.assignment()
     parent = build_richer_tree(nodes)
@@ -116,38 +131,58 @@ def _plan_for_k(
     all_gone = {i: 1.0 for i in erodible}
     p_min = overall_speed(nodes, assignment, parent, all_gone)
 
+    def storage(deleted: dict[int, float]) -> float:
+        return sum(n.size_kb_per_s * (1.0 - deleted.get(i, 0.0)) for i, n in enumerate(nodes))
+
     deleted: dict[int, float] = {i: 0.0 for i in erodible}
+    t = _Trajectory(p_min, [deleted], [overall_speed(nodes, assignment, parent, deleted)],
+                    [storage(deleted)])
+    while True:
+        best = None
+        for i in erodible:
+            if deleted[i] >= 1.0 - 1e-9:
+                continue
+            trial = dict(deleted)
+            trial[i] = min(1.0, trial[i] + QUANTUM)
+            ov = overall_speed(nodes, assignment, parent, trial)
+            if best is None or ov > best[0]:
+                best = (ov, trial)
+        if best is None:
+            return t  # everything erodible is gone
+        ov, deleted = best
+        t.deleted.append(deleted)
+        t.overall.append(ov)
+        t.storage_kb_s.append(storage(deleted))
+
+
+def _plan_along(t: _Trajectory, lifespan_days: int, k: float) -> ErosionPlan:
+    """Each age advances along the trajectory to the first state at or below
+    its power-law target (or the last state). Overall speed need not fall
+    monotonically along the trajectory, so this is a scan, not a search."""
+    j, last = 0, len(t.deleted) - 1
     by_age, ov_age, tgt_age, sto_age = [], [], [], []
     for age in range(1, lifespan_days + 1):
-        target = _p_target(age, k, p_min)
-        while overall_speed(nodes, assignment, parent, deleted) > target + 1e-9:
-            best = None
-            for i in erodible:
-                if deleted[i] >= 1.0 - 1e-9:
-                    continue
-                trial = dict(deleted)
-                trial[i] = min(1.0, trial[i] + QUANTUM)
-                ov = overall_speed(nodes, assignment, parent, trial)
-                if best is None or ov > best[0]:
-                    best = (ov, i, trial)
-            if best is None:
-                break  # everything erodible is gone
-            deleted = best[2]
-        by_age.append(dict(deleted))
-        ov_age.append(overall_speed(nodes, assignment, parent, deleted))
+        target = _p_target(age, k, t.p_min)
+        while j < last and t.overall[j] > target + 1e-9:
+            j += 1
+        by_age.append(dict(t.deleted[j]))
+        ov_age.append(t.overall[j])
         tgt_age.append(target)
-        sto_age.append(
-            sum(n.size_kb_per_s * (1.0 - deleted.get(i, 0.0)) for i, n in enumerate(nodes))
-        )
+        sto_age.append(t.storage_kb_s[j])
     return ErosionPlan(
         k=k,
-        p_min=p_min,
+        p_min=t.p_min,
         deleted_by_age=by_age,
         overall_by_age=ov_age,
         target_by_age=tgt_age,
         storage_kb_s_by_age=sto_age,
         total_storage_kb_s=sum(sto_age),
     )
+
+
+def _plan_for_k(plan: StoragePlan, lifespan_days: int, k: float) -> ErosionPlan:
+    """The erosion plan of one decay factor, from a fresh trajectory."""
+    return _plan_along(_trajectory(plan), lifespan_days, k)
 
 
 def plan_erosion(
@@ -165,11 +200,12 @@ def plan_erosion(
     day_s = 86_400.0
     budget_kb_s = storage_budget_bytes / 1024.0 / day_s  # summed KB/s across ages
 
-    no_decay = _plan_for_k(plan, lifespan_days, 0.0)
+    t = _trajectory(plan)
+    no_decay = _plan_along(t, lifespan_days, 0.0)
     if no_decay.total_storage_kb_s <= budget_kb_s:
         return no_decay
     lo, hi = 0.0, _K_MAX
-    floor = _plan_for_k(plan, lifespan_days, _K_MAX)
+    floor = _plan_along(t, lifespan_days, _K_MAX)
     if floor.total_storage_kb_s > budget_kb_s:
         need_tb = floor.total_storage_kb_s * day_s * 1024.0 / 1024.0**4
         raise ValueError(
@@ -178,8 +214,8 @@ def plan_erosion(
         )
     for _ in range(24):
         mid = (lo + hi) / 2.0
-        if _plan_for_k(plan, lifespan_days, mid).total_storage_kb_s <= budget_kb_s:
+        if _plan_along(t, lifespan_days, mid).total_storage_kb_s <= budget_kb_s:
             hi = mid
         else:
             lo = mid
-    return _plan_for_k(plan, lifespan_days, hi)
+    return _plan_along(t, lifespan_days, hi)

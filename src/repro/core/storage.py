@@ -44,6 +44,11 @@ class Consumer:
     target_acc: float
     cf: Fidelity
     speed_x: float
+    #: ``float(cf.sampling)``, the key of ``StorageProfile.speed_by_sampling``
+    rate: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rate", float(self.cf.sampling))
 
     def label(self) -> str:
         return f"{self.op_name}@{self.target_acc}"
@@ -64,7 +69,7 @@ class SFNode:
         return self.profile.size_kb_per_s
 
     def retrieval_speed_for(self, consumer: Consumer) -> float:
-        return self.profile.retrieval_speed_x(consumer.cf.sampling)
+        return self.profile.speed_by_sampling[consumer.rate]
 
     def storage_format(self) -> StorageFormat:
         return StorageFormat(self.fidelity, self.coding)
@@ -105,9 +110,8 @@ class StoragePlan:
 
 def _feasible(prof: StorageProfile, consumers: list[Consumer]) -> bool:
     """R2: retrieval from this profile outruns every consumer."""
-    return all(
-        prof.retrieval_speed_x(c.cf.sampling) >= c.speed_x for c in consumers
-    )
+    speeds = prof.speed_by_sampling
+    return all(speeds[c.rate] >= c.speed_x for c in consumers)
 
 
 def choose_coding(
@@ -116,11 +120,10 @@ def choose_coding(
     """Min-storage coding for ``fidelity`` that keeps R2 for ``consumers``;
     falls back to RAW; None if even RAW is too slow (coalesce infeasible)."""
     best: StorageProfile | None = None
-    for c in coding_space():
-        prof = sp.profile(fidelity, c)
-        if _feasible(prof, consumers):
-            if best is None or prof.size_kb_per_s < best.size_kb_per_s:
-                best = prof
+    # size first: R2 is checked only for a coding that would be the new best
+    for prof in sp.profiles(fidelity, coding_space()):
+        if (best is None or prof.size_kb_per_s < best.size_kb_per_s) and _feasible(prof, consumers):
+            best = prof
     if best is not None:
         return best
     raw = sp.profile(fidelity, RAW)
@@ -177,7 +180,8 @@ def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode
     nodes = [_golden_node(sp, by_cf)]
     for cf, cons in by_cf.items():
         prof = choose_coding(sp, cf, cons)
-        assert prof is not None, f"no feasible coding for CF {cf.label()}"
+        if prof is None:
+            raise ValueError(f"no feasible coding for CF {cf.label()}")
         nodes.append(SFNode(fidelity=cf, coding=prof.coding, consumers=cons, profile=prof))
     return nodes
 
@@ -211,8 +215,8 @@ def derive_storage_plan(
 ) -> StoragePlan:
     """Greedy coalescing (phase 1) + ingestion-budget adaptation (phase 2);
     raises ``ValueError`` if no sequence of moves fits the ingestion budget."""
-    if ingest_budget_cores is not None:
-        assert motion is not None, "budget adaptation needs the stream's motion"
+    if ingest_budget_cores is not None and motion is None:
+        raise ValueError("budget adaptation needs the stream's motion")
     runs0, hits0 = sp.runs, sp.hits
     plan = StoragePlan(nodes=initial_nodes(sp, consumers))
 

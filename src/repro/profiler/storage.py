@@ -5,12 +5,15 @@ coalesced SF, testing decoding speed and the video sample size". Here one
 profiling run evaluates the codec model (:mod:`repro.codec.model`) on the
 profiling dataset's content — its size and its retrieval speed for each of
 the five legal consumer sampling rates — and the profiler is a memo over those
-results per (fidelity, coding); the run/hit counters feed the §6.4 overhead
-accounting (the paper reports 475 profiled of 15K possible, 92% of examined
-formats memoized).
+results, keyed by fidelity and then by coding, so one fidelity lookup serves a
+whole row of codings (the §4.3 coding choice tries all 25). The run/hit
+counters count per (fidelity, coding) and feed the §6.4 overhead accounting
+(the paper reports 475 profiled of 15K possible, 92% of examined formats
+memoized).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,18 +44,32 @@ class StorageProfiler:
 
     def __init__(self, ds: Dataset) -> None:
         self.ds = ds
-        self.memo: dict[tuple[Fidelity, Coding], StorageProfile] = {}
+        #: memo[fidelity][coding]
+        self.memo: dict[Fidelity, dict[Coding, StorageProfile]] = {}
         self.runs = 0  # actual profiling work (cache misses)
         self.hits = 0  # memoized reuse
 
     def profile(self, f: Fidelity, c: Coding) -> StorageProfile:
-        key = (f, c)
-        if key in self.memo:
-            self.hits += 1
-            return self.memo[key]
-        self.runs += 1
+        return self.profiles(f, (c,))[0]
+
+    def profiles(self, f: Fidelity, codings: Iterable[Coding]) -> list[StorageProfile]:
+        """The profiles of ``f`` under each of ``codings``, in order; each
+        (fidelity, coding) counts one run or one hit."""
+        row = self.memo.setdefault(f, {})
+        out = []
+        for c in codings:
+            prof = row.get(c)
+            if prof is None:
+                self.runs += 1
+                prof = row[c] = self._run(f, c)
+            else:
+                self.hits += 1
+            out.append(prof)
+        return out
+
+    def _run(self, f: Fidelity, c: Coding) -> StorageProfile:
         sf, motion = StorageFormat(f, c), self.ds.motion
-        prof = StorageProfile(
+        return StorageProfile(
             fidelity=f,
             coding=c,
             size_kb_per_s=size_kb_per_s(f, c, motion),
@@ -60,5 +77,3 @@ class StorageProfiler:
                 float(s): retrieval_speed_x(sf, s, motion) for s in SAMPLINGS
             },
         )
-        self.memo[key] = prof
-        return prof

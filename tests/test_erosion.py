@@ -48,6 +48,12 @@ def two_level_plan():
 
 
 class TestRicherTree:
+    def test_golden_must_dominate(self):
+        low = node(Fidelity("good", 360, S(1, 2), 0.75), GOLDEN_CODING, golden=True)
+        high = node(Fidelity("best", 720, S(1), 1.0), Coding("fast", 10))
+        with pytest.raises(ValueError, match="no richer fallback"):
+            build_richer_tree([low, high])
+
     def test_parent_strictly_richer(self, plan):
         parent = build_richer_tree(plan.nodes)
         for i, p in parent.items():

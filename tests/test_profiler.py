@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.codec.model import raw_retrieval_speed_x, retrieval_speed_x, size_kb_per_s
-from repro.formats import Coding, Fidelity, RAW, SAMPLINGS, StorageFormat
+from repro.formats import Coding, Fidelity, RAW, SAMPLINGS, StorageFormat, coding_space
 from repro.ops.library import OPERATORS
 from repro.profiler.consumption import ConsumptionProfiler
 from repro.profiler.storage import StorageProfiler
@@ -90,6 +90,21 @@ class TestStorageProfiler:
         p.profile(F1, c)
         p.profile(F1, c)
         assert (p.runs, p.hits) == (1, 1)
+
+    def test_row_lookup_counts_each_coding(self):
+        p = StorageProfiler(DATASETS["dashcam"])
+        row = p.profiles(F1, coding_space())
+        assert (p.runs, p.hits) == (25, 0)
+        again = p.profiles(F1, coding_space())
+        assert (p.runs, p.hits) == (25, 25)
+        assert all(a is b for a, b in zip(row, again))
+
+    def test_single_lookup_returns_row_entry(self):
+        p = StorageProfiler(DATASETS["dashcam"])
+        row = p.profiles(F1, coding_space())
+        for c, prof in zip(coding_space(), row):
+            assert p.profile(F1, c) is prof
+            assert prof.coding == c
 
     def test_size_matches_codec_model(self):
         p = StorageProfiler(DATASETS["dashcam"])

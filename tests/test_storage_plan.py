@@ -88,6 +88,11 @@ class TestInitialNodes:
         nodes = initial_nodes(sp, SMALL + SMALL)  # duplicates collapse
         assert len(nodes) == 1 + len({c.cf for c in SMALL})
 
+    def test_unservable_cf_raises(self):
+        f = Fidelity("best", 720, S(1), 1.0)
+        with pytest.raises(ValueError, match="no feasible coding for CF"):
+            initial_nodes(StorageProfiler(DASH), [consumer("x", 0.9, f, 10_000_000.0)])
+
 
 class TestPlanInvariants:
     def test_r1_satisfiable_fidelity(self, full_plan):
@@ -187,6 +192,10 @@ class TestBudgetAdaptation:
 
     def test_unbudgeted_plan_records_no_moves(self, full_plan):
         assert full_plan.budget_moves == []
+
+    def test_budget_without_motion_raises(self):
+        with pytest.raises(ValueError, match="needs the stream's motion"):
+            derive_storage_plan(StorageProfiler(DASH), SMALL, ingest_budget_cores=4.0)
 
     def test_unreachable_budget_raises(self, full_consumers):
         sp = StorageProfiler(DASH)
