@@ -29,15 +29,18 @@ KINDS = ("vstore", "1->1", "1->N", "N->N")
 
 def main(spark, out=print, hours: float = 1.0):
     cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
+    providers = {
+        name: {k: make_provider(k, cfg, ds.motion) for k in KINDS}
+        for name, ds in DATASETS.items()
+    }
     results = {}
     out(f"== Fig 11(a): query speed (x-realtime), {hours} h of video ==")
     out(f"{'dataset':>8s} {'F1':>5s} " + " ".join(f"{k:>9s}" for k in KINDS))
     for name, ds in DATASETS.items():
-        providers = {k: make_provider(k, cfg, ds.motion) for k in KINDS}
         for acc in ACCURACY_LEVELS:
             row = []
             for k in KINDS:
-                r = run_query(spark, providers[k], ds, acc, hours=hours)
+                r = run_query(spark, providers[name][k], ds, acc, hours=hours)
                 results[(name, acc, k)] = r
                 row.append(r.speed_x)
             out(
@@ -48,9 +51,8 @@ def main(spark, out=print, hours: float = 1.0):
     out("== Fig 11(b): storage cost per stream (GB/day) ==")
     out(f"{'dataset':>8s} " + " ".join(f"{k:>9s}" for k in KINDS))
     for name, ds in DATASETS.items():
-        providers = {k: make_provider(k, cfg, ds.motion) for k in KINDS}
         row = [
-            storage_kb_per_s(providers[k].sfs, ds.motion) * 86400 / 1024 / 1024
+            storage_kb_per_s(providers[name][k].sfs, ds.motion) * 86400 / 1024 / 1024
             for k in KINDS
         ]
         out(f"{name:>8s} " + " ".join(f"{v:9.1f}" for v in row))
@@ -58,8 +60,7 @@ def main(spark, out=print, hours: float = 1.0):
     out("== Fig 11(c): ingestion cost per stream (CPU cores) ==")
     out(f"{'dataset':>8s} " + " ".join(f"{k:>9s}" for k in KINDS))
     for name, ds in DATASETS.items():
-        providers = {k: make_provider(k, cfg, ds.motion) for k in KINDS}
-        row = [ingest_cores_per_stream(providers[k].sfs, ds.motion) for k in KINDS]
+        row = [ingest_cores_per_stream(providers[name][k].sfs, ds.motion) for k in KINDS]
         out(f"{name:>8s} " + " ".join(f"{v:9.2f}" for v in row))
     out("")
     best = max(r.speed_x for r in results.values())

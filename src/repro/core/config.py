@@ -38,16 +38,12 @@ class VStoreConfig:
     derived: dict[tuple[str, float], DerivedCF]
     storage: StoragePlan
     profiling_runs_consumption: int
-    profiling_seconds_simulated: float  # sample-seconds of video profiled
 
     def cf_of(self, op_name: str, acc: float) -> Consumer:
         for c in self.consumers:
             if c.op_name == op_name and c.target_acc == acc:
                 return c
         raise KeyError((op_name, acc))
-
-    def sf_index_of(self, consumer: Consumer) -> int:
-        return self.storage.assignment()[consumer]
 
     def unique_cf_count(self) -> int:
         return len({c.cf for c in self.consumers})
@@ -106,5 +102,4 @@ def derive_config(
         derived=derived,
         storage=storage,
         profiling_runs_consumption=total_runs,
-        profiling_seconds_simulated=10.0 * total_runs,
     )

@@ -51,12 +51,11 @@ from repro.profiler.consumption import (
 
 @dataclass(frozen=True)
 class DerivedCF:
-    """A derived consumption format and its profiling bill."""
+    """A derived consumption format: its fidelity and profiled result."""
 
     fidelity: Fidelity
     f1: float
     speed_x: float
-    profiling_runs: int  # cache-miss profiling runs this derivation caused
 
 
 def _adequate(r: ProfileResult, target: float) -> bool:
@@ -178,17 +177,11 @@ def derive_consumption_formats(
     """
     if len(set(searches)) != len(searches):
         raise ValueError("each (profiler, operator) may be searched once per wave")
-    runs = dict.fromkeys(searches, 0)
     wave = _lockstep([_search(p, op, target) for p, op in searches])
     probes, found = _advance(wave)
     while probes is not None:
-        for p, op, f in probes:
-            runs[(p, op)] += (op, f) not in p.memo
         probes, found = _advance(wave, profile_batch(probes))
-    return [
-        DerivedCF(fidelity=f, f1=r.f1, speed_x=r.speed_x, profiling_runs=runs[s])
-        for s, (f, r) in zip(searches, found)
-    ]
+    return [DerivedCF(fidelity=f, f1=r.f1, speed_x=r.speed_x) for f, r in found]
 
 
 def derive_consumption_format(
@@ -202,7 +195,6 @@ def exhaustive_consumption_format(
     profiler: ConsumptionProfiler, op: Operator, target: float
 ) -> DerivedCF:
     """Profile all 600 fidelity options; the Fig 13 baseline."""
-    runs0 = profiler.runs
     results = profiler.profile_many(op, list(fidelity_space()))
     adequate = [
         (r.cost, f, r)
@@ -222,6 +214,4 @@ def exhaustive_consumption_format(
             t[1].crop,
         ),
     )
-    return DerivedCF(
-        fidelity=f, f1=r.f1, speed_x=r.speed_x, profiling_runs=profiler.runs - runs0
-    )
+    return DerivedCF(fidelity=f, f1=r.f1, speed_x=r.speed_x)

@@ -42,7 +42,7 @@ def build_richer_tree(nodes: list[SFNode]) -> dict[int, int | None]:
         richer = [
             (m.size_kb_per_s, j)
             for j, m in enumerate(nodes)
-            if j != i and m.fidelity.richer_eq(n.fidelity) and not n.fidelity.richer_eq(m.fidelity)
+            if m.fidelity.strictly_richer(n.fidelity)
         ]
         if not richer:
             raise ValueError(f"node {i} has no richer fallback (golden must dominate)")
@@ -178,11 +178,6 @@ def _plan_along(t: _Trajectory, lifespan_days: int, k: float) -> ErosionPlan:
         storage_kb_s_by_age=sto_age,
         total_storage_kb_s=sum(sto_age),
     )
-
-
-def _plan_for_k(plan: StoragePlan, lifespan_days: int, k: float) -> ErosionPlan:
-    """The erosion plan of one decay factor, from a fresh trajectory."""
-    return _plan_along(_trajectory(plan), lifespan_days, k)
 
 
 def plan_erosion(

@@ -19,7 +19,6 @@ FPS = 30
 SEGMENT_SECONDS = 10
 
 QUALITIES: tuple[str, ...] = ("worst", "bad", "good", "best")  # CRF 50/40/23/0
-QUALITY_CRF = {"worst": 50, "bad": 40, "good": 23, "best": 0}
 CROPS: tuple[float, ...] = (0.5, 0.75, 1.0)
 RESOLUTIONS: tuple[int, ...] = (60, 100, 144, 180, 200, 360, 400, 540, 600, 720)
 SAMPLINGS: tuple[Fraction, ...] = (
@@ -143,16 +142,6 @@ def coding_space() -> tuple[Coding, ...]:
         Coding(step, kfi)
         for step, kfi in itertools.product(SPEED_STEPS, KEYFRAME_INTERVALS)
     )
-
-
-def storage_space_size() -> int:
-    """|F x C| — the paper reports 15K possible storage formats."""
-    return len(fidelity_space()) * len(coding_space())
-
-
-def degrade_ok(src: Fidelity, dst: Fidelity) -> bool:
-    """One can degrade src into dst only if src is richer-or-equal (§2.3)."""
-    return src.richer_eq(dst)
 
 
 def cheaper_coding(c: Coding) -> Coding | None:

@@ -1,4 +1,4 @@
-"""The six operators of queries A and B (paper Fig 2) and the consumer set.
+"""The six operators of queries A and B (paper Fig 2) and their accuracy levels.
 
 Query A (NoScope-style car detector): Diff -> S-NN (shallow AlexNet) -> NN
 (YOLOv2). Query B (OpenALPR license recognition): Motion -> License -> OCR.
@@ -66,15 +66,6 @@ QUERY_A: tuple[str, ...] = ("diff", "snn", "nn")
 QUERY_B: tuple[str, ...] = ("motion", "license", "ocr")
 CASCADES = {"A": QUERY_A, "B": QUERY_B}
 
-#: accuracy levels the admin declares per operator (paper §6.1)
+#: accuracy levels the admin declares per operator (paper §6.1); with the six
+#: operators they make the 24 consumers
 ACCURACY_LEVELS: tuple[float, ...] = (0.95, 0.90, 0.80, 0.70)
-
-#: the full consumer set: 6 operators x 4 accuracies = 24 consumers
-CONSUMERS: tuple[tuple[str, float], ...] = tuple(
-    (name, acc) for name in OPERATORS for acc in ACCURACY_LEVELS
-)
-
-
-def operator(name: str) -> Operator:
-    """Look up an operator by name."""
-    return OPERATORS[name]

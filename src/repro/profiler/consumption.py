@@ -12,12 +12,12 @@ accuracy and consumption speed. Here a profiling run
 
 Three execution modes:
 
-- ``spark`` (default for jobs/benchmarks): profiling requests are rows of a
-  DataFrame, evaluated by a per-partition ``mapInPandas`` UDF that generates
-  the clip and runs the operator inside the executor — the data plane the
-  repro brief asks for.
+- ``spark`` (the default; the Table 2 job and perfbench's configure workload
+  run it): profiling requests are rows of a DataFrame, evaluated by a
+  per-partition ``mapInPandas`` UDF that generates the clip and runs the
+  operator inside the executor — the data plane the repro brief asks for.
 - ``local``: identical arithmetic on the driver (same frames, same results);
-  used by fast unit tests.
+  used by the other jobs and by fast unit tests.
 - ``analytic``: F1 is the operator's analytic surface (noise-free); used by
   algorithm-equivalence tests (staircase vs exhaustive).
 
@@ -87,9 +87,10 @@ class ConsumptionProfiler:
         *,
         mode: str = "spark",
     ) -> None:
-        assert mode in ("spark", "local", "analytic")
-        if mode == "spark":
-            assert spark is not None, "spark mode needs a SparkSession"
+        if mode not in ("spark", "local", "analytic"):
+            raise ValueError(f"unknown profiler mode {mode!r}")
+        if mode == "spark" and spark is None:
+            raise ValueError("spark mode needs a SparkSession")
         self.ds = ds
         self.spark = spark
         self.mode = mode

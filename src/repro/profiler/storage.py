@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from repro.codec.model import retrieval_speed_x, size_kb_per_s
 from repro.formats import SAMPLINGS, Coding, Fidelity, StorageFormat
@@ -32,11 +31,6 @@ class StorageProfile:
     #: retrieval speed (x-realtime) per legal consumer sampling rate, keyed
     #: by ``float(rate)`` (hashing a float is far cheaper than a Fraction)
     speed_by_sampling: dict[float, float] = field(compare=False, repr=False)
-
-    def retrieval_speed_x(self, consumer_sampling: Fraction | float) -> float:
-        """Retrieval speed (x-realtime) for a consumer sampling at the given
-        rate — decode-bound for encoded formats, disk-bound for RAW."""
-        return self.speed_by_sampling[float(consumer_sampling)]
 
 
 class StorageProfiler:

@@ -175,16 +175,3 @@ def run_query(
         sim_time_s=sum(s.sim_time_s for s in stages),
         stages=stages,
     )
-
-
-def detections_df(
-    spark: SparkSession,
-    provider: FormatProvider,
-    ds: Dataset,
-    accuracy: float,
-    *,
-    hours: float = 0.1,
-) -> DataFrame:
-    """Per-(segment, stage) detection counts — used by oracle-checked tests."""
-    _, rows = _cascade(spark, provider, ds, accuracy, hours)
-    return rows.select("segment_id", "stage", "op", "flagged")

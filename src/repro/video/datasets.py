@@ -52,8 +52,3 @@ DATASETS: dict[str, Dataset] = {
 #: Dataset each operator library is profiled on (paper §6.1: query-A operators
 #: on jackson, query-B operators on dashcam).
 PROFILING_DATASET = {"A": "jackson", "B": "dashcam"}
-
-
-def dataset(name: str) -> Dataset:
-    """Look up a dataset profile by name."""
-    return DATASETS[name]

@@ -61,7 +61,7 @@ class TestProfilingBill:
         # the staircase may re-cross columns when walking back right, so the
         # worst case is ~(2*N_sample + N_res) per plane, still O(N_s + N_r)
         bound = (2 * len(SAMPLINGS) + len(RESOLUTIONS)) * len(CROPS) + len(QUALITIES)
-        assert d.profiling_runs <= bound
+        assert p.runs <= bound
 
     @pytest.mark.parametrize("op_name", list(OPERATORS))
     def test_all_accuracies_cheaper_than_exhaustive(self, op_name):

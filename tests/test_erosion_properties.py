@@ -12,7 +12,8 @@ from repro.core.erosion import (
     _K_MAX,
     ErosionPlan,
     _p_target,
-    _plan_for_k,
+    _trajectory,
+    _plan_along,
     build_richer_tree,
     overall_speed,
     plan_erosion,
@@ -31,7 +32,7 @@ def plan():
 @pytest.fixture(scope="module")
 def floor_kb_s(plan):
     """Lifespan cost of the steepest decay the planner may choose."""
-    return _plan_for_k(plan, LIFESPAN_DAYS, _K_MAX).total_storage_kb_s
+    return _plan_along(_trajectory(plan), LIFESPAN_DAYS, _K_MAX).total_storage_kb_s
 
 
 def plan_or_none(plan, floor_kb_s, budget_bytes):
@@ -112,4 +113,5 @@ def reference_plan_for_k(
 @given(k=st.floats(0.0, _K_MAX), lifespan_days=st.integers(1, 15))
 @settings(max_examples=40, deadline=None)
 def test_trajectory_matches_greedy_loop(plan, k, lifespan_days):
-    assert _plan_for_k(plan, lifespan_days, k) == reference_plan_for_k(plan, lifespan_days, k)
+    got = _plan_along(_trajectory(plan), lifespan_days, k)
+    assert got == reference_plan_for_k(plan, lifespan_days, k)

@@ -1,14 +1,15 @@
 """Source hygiene: no Python file of the repository imports a name it never
-uses, and every ``repro`` module is imported by the program (``src/repro``,
-``jobs`` or ``perfbench``), not only by the tests."""
+uses, and every ``repro`` module, and every public name in one, is used by the
+program (``src/repro``, ``jobs`` or ``perfbench``), not only by the tests."""
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted(
     [ROOT / "conftest.py"]
-    + [p for d in ("src/repro", "jobs", "tests", "benchmarks") for p in (ROOT / d).rglob("*.py")]
+    + [p for d in ("src/repro", "jobs", "tests") for p in (ROOT / d).rglob("*.py")]
 )
+PROGRAM = sorted(p for d in ("src/repro", "jobs", "perfbench") for p in (ROOT / d).rglob("*.py"))
 #: imported only by the tests, which compare Spark results against it
 TEST_ONLY = {"repro.oracle"}
 
@@ -63,8 +64,7 @@ def _imported_modules(path: pathlib.Path) -> set[str]:
 
 def unimported_modules() -> list[str]:
     """``repro`` modules that no file of the program imports."""
-    program = [p for d in ("src/repro", "jobs", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    imports = {p: _imported_modules(p) for p in program}
+    imports = {p: _imported_modules(p) for p in PROGRAM}
     return sorted(
         name
         for name, path in (
@@ -72,6 +72,53 @@ def unimported_modules() -> list[str]:
         )
         if name not in TEST_ONLY and not any(name in mods for p, mods in imports.items() if p != path)
     )
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    """Public top-level functions, classes and constants of a module, and the
+    public methods of its classes."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not n.startswith("_")]
+
+
+def _references(tree: ast.Module, *, loads_only: bool) -> set[str]:
+    """Names, attributes, imported names and string constants of a module
+    (perfbench patches attributes by name); ``loads_only`` keeps only the
+    names and attributes it reads."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if not loads_only or isinstance(node.ctx, ast.Load):
+                refs.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif not loads_only and isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+        elif not loads_only and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def names_without_caller() -> list[str]:
+    """Public names of ``repro`` modules that the program never uses: no
+    other program file refers to them and their own module never reads them."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in PROGRAM}
+    outside = {p: _references(t, loads_only=False) for p, t in trees.items()}
+    missing = []
+    for path, tree in trees.items():
+        if path.is_relative_to(ROOT / "src/repro") and _module_name(path) not in TEST_ONLY:
+            callers = _references(tree, loads_only=True).union(
+                *(refs for p, refs in outside.items() if p != path)
+            )
+            missing += [name for name in _public_names(tree) if name not in callers]
+    return missing
 
 
 def test_modules_found():
@@ -84,3 +131,7 @@ def test_no_unused_imports():
 
 def test_every_module_has_a_caller():
     assert unimported_modules() == []
+
+
+def test_every_public_name_has_a_caller():
+    assert names_without_caller() == []

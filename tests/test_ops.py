@@ -9,11 +9,9 @@ from repro.formats import CROPS, QUALITIES, RESOLUTIONS, SAMPLINGS, Fidelity
 from repro.ops.base import f1_score
 from repro.ops.library import (
     ACCURACY_LEVELS,
-    CONSUMERS,
     OPERATORS,
     QUERY_A,
     QUERY_B,
-    operator,
 )
 from repro.video.datasets import DATASETS, PROFILING_DATASET
 from repro.video.frames import segment_frames
@@ -53,11 +51,11 @@ class TestLibrary:
 
     def test_24_consumers(self):
         # 6 operators x 4 accuracy levels (§6.1)
-        assert len(CONSUMERS) == 24
+        assert len(OPERATORS) * len(ACCURACY_LEVELS) == 24
         assert ACCURACY_LEVELS == (0.95, 0.90, 0.80, 0.70)
 
     def test_lookup(self):
-        assert operator("nn").query == "A"
+        assert OPERATORS["nn"].query == "A"
 
     def test_stage_order(self):
         for q in (QUERY_A, QUERY_B):

@@ -79,8 +79,12 @@ class TestConsumptionProfiler:
             assert a.speed_x == pytest.approx(b.speed_x)
 
     def test_spark_mode_requires_session(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             ConsumptionProfiler(DATASETS["miami"], None, mode="spark")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            ConsumptionProfiler(DATASETS["miami"], mode="gpu")
 
 
 class TestStorageProfiler:
@@ -120,14 +124,14 @@ class TestStorageProfiler:
         p = StorageProfiler(DATASETS["dashcam"])
         for c in (Coding("slow", 10), RAW):
             prof = p.profile(F2, c)
-            assert prof.retrieval_speed_x(s) == retrieval_speed_x(
+            assert prof.speed_by_sampling[float(s)] == retrieval_speed_x(
                 StorageFormat(F2, c), s, DATASETS["dashcam"].motion
             )
 
     def test_raw_profile(self):
         p = StorageProfiler(DATASETS["park"])
         prof = p.profile(F1, RAW)
-        assert prof.retrieval_speed_x(S(1, 6)) == pytest.approx(
+        assert prof.speed_by_sampling[float(S(1, 6))] == pytest.approx(
             raw_retrieval_speed_x(F1, S(1, 6))
         )
 

@@ -6,8 +6,12 @@ from repro.codec.transcode import ingest_cores_per_stream, storage_kb_per_s
 from repro.core.config import ConfigOptions, derive_config
 from repro.oracle import assert_equivalent
 from repro.query.alternatives import make_provider
-from repro.query.cascade import detections_df, run_query
+from repro.query.cascade import _cascade, run_query
 from repro.video.datasets import DATASETS
+
+KINDS = ("vstore", "1->1", "1->N", "N->N")
+#: one stream of query A and one of query B
+QUERY_STREAMS = ("jackson", "park")
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +22,7 @@ def cfg():
 @pytest.fixture(scope="module")
 def providers(cfg):
     ds = DATASETS["jackson"]
-    return {k: make_provider(k, cfg, ds.motion) for k in ("vstore", "1->1", "1->N", "N->N")}
+    return {k: make_provider(k, cfg, ds.motion) for k in KINDS}
 
 
 class TestProviders:
@@ -51,39 +55,46 @@ class TestProviders:
 
 class TestQuerySpeed:
     @pytest.fixture(scope="class")
-    def speeds(self, spark, providers):
-        ds = DATASETS["jackson"]
+    def speeds(self, spark, cfg):
+        """speeds[stream][(kind, accuracy)] for each of ``QUERY_STREAMS``."""
         out = {}
-        for kind in ("vstore", "1->1", "1->N", "N->N"):
-            for acc in (0.95, 0.7):
-                out[(kind, acc)] = run_query(
-                    spark, providers[kind], ds, acc, hours=0.05
+        for name in QUERY_STREAMS:
+            ds = DATASETS[name]
+            out[name] = {
+                (kind, acc): run_query(
+                    spark, make_provider(kind, cfg, ds.motion), ds, acc, hours=0.05
                 ).speed_x
+                for kind in KINDS
+                for acc in (0.95, 0.7)
+            }
         return out
 
     def test_vstore_beats_one_to_n(self, speeds):
         # Fig 11a: VStore outperforms 1->N by 3x-16x
-        for acc in (0.95, 0.7):
-            assert speeds[("vstore", acc)] > 2 * speeds[("1->N", acc)]
+        for s in speeds.values():
+            for acc in (0.95, 0.7):
+                assert s[("vstore", acc)] > 2 * s[("1->N", acc)]
 
     def test_vstore_beats_one_to_one_at_low_accuracy(self, speeds):
-        assert speeds[("vstore", 0.7)] > 5 * speeds[("1->1", 0.7)]
+        for s in speeds.values():
+            assert s[("vstore", 0.7)] > 5 * s[("1->1", 0.7)]
 
     def test_one_to_one_fixed_operating_point(self, speeds):
         # 1->1 cannot exploit accuracy/cost tradeoffs
-        assert speeds[("1->1", 0.95)] == pytest.approx(speeds[("1->1", 0.7)])
+        for s in speeds.values():
+            assert s[("1->1", 0.95)] == pytest.approx(s[("1->1", 0.7)])
 
     def test_vstore_elastic_with_accuracy(self, speeds):
         # lowering the target accuracy accelerates the query
-        assert speeds[("vstore", 0.7)] > 1.5 * speeds[("vstore", 0.95)]
+        for s in speeds.values():
+            assert s[("vstore", 0.7)] > 1.5 * s[("vstore", 0.95)]
 
     def test_n_to_n_matches_vstore_speed(self, speeds):
         # N->N reads the same CFs from dedicated SFs: same query speed,
         # it only pays more storage/ingest (Fig 11b/c)
-        for acc in (0.95, 0.7):
-            assert speeds[("N->N", acc)] == pytest.approx(
-                speeds[("vstore", acc)], rel=0.25
-            )
+        for s in speeds.values():
+            for acc in (0.95, 0.7):
+                assert s[("N->N", acc)] == pytest.approx(s[("vstore", acc)], rel=0.25)
 
 
 class TestQueryExecution:
@@ -116,9 +127,8 @@ class TestQueryExecution:
 
     def test_detections_oracle(self, spark, providers):
         # per-stage flagged totals agree between Spark SQL and DuckDB
-        det = detections_df(
-            spark, providers["vstore"], DATASETS["jackson"], 0.9, hours=0.02
-        ).cache()
+        _, det = _cascade(spark, providers["vstore"], DATASETS["jackson"], 0.9, 0.02)
+        det = det.cache()
         got = (
             det.groupBy("op").sum("flagged").withColumnRenamed("sum(flagged)", "n")
         )
@@ -130,9 +140,7 @@ class TestQueryExecution:
         # each stage flags a subset of the frames it actually processed;
         # (raw counts are not monotone across stages because each stage
         # samples the propagated active set at its own CF rate)
-        det = detections_df(
-            spark, providers["vstore"], DATASETS["jackson"], 0.9, hours=0.02
-        )
+        _, det = _cascade(spark, providers["vstore"], DATASETS["jackson"], 0.9, 0.02)
         assert det.filter("flagged < 0").count() == 0
         last = det.filter("stage = 2").agg({"flagged": "sum"}).collect()[0][0]
         first = det.filter("stage = 0").agg({"flagged": "sum"}).collect()[0][0]

@@ -72,7 +72,7 @@ class TestChooseCoding:
         f = Fidelity("best", 540, S(1, 30), 1.0)
         prof = choose_coding(sp, f, [consumer("license", 0.9, f, 100.0)])
         assert not prof.coding.raw
-        assert prof.retrieval_speed_x(f.sampling) >= 100.0
+        assert prof.speed_by_sampling[float(f.sampling)] >= 100.0
 
 
 class TestInitialNodes:

@@ -9,8 +9,10 @@ from repro.codec.transcode import (
     storage_kb_per_s,
     transcode_segments,
 )
+from repro.core.config import ConfigOptions, derive_config
 from repro.formats import GOLDEN_CODING, RAW, Coding, Fidelity, StorageFormat
 from repro.oracle import assert_equivalent
+from repro.query.alternatives import make_provider
 from repro.store.segment_store import SegmentStore
 from repro.video.datasets import DATASETS
 from repro.video.frames import segments_df
@@ -106,6 +108,18 @@ class TestSegmentStore:
         # motion jitters around the mean)
         want = storage_kb_per_s(SFS, DATASETS["park"].motion)
         assert rate == pytest.approx(want, rel=0.2)
+
+        # Fig 11b/c as the store measures them on dashcam: storage N->N >
+        # 1.5x VStore > 1->1, ingest cores N->N > VStore > 1->1
+        cfg = derive_config(options=ConfigOptions(profiler_mode="local"))
+        ds = DATASETS["dashcam"]
+        kb_s, cores = {}, {}
+        for kind in ("vstore", "1->1", "N->N"):
+            df = store.ingest(spark, ds, make_provider(kind, cfg, ds.motion).sfs, hours=0.05)
+            kb_s[kind] = store.storage_kb_per_s(spark, ds.name)
+            cores[kind] = df.agg({"ingest_core_s": "sum"}).collect()[0][0] / (0.05 * 3600)
+        assert kb_s["N->N"] > 1.5 * kb_s["vstore"] and kb_s["vstore"] > kb_s["1->1"]
+        assert cores["N->N"] > cores["vstore"] > cores["1->1"]
 
     def test_apply_erosion_deletes_fraction(self, spark, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.formats import FPS, SEGMENT_SECONDS
-from repro.video.datasets import DATASETS, PROFILING_DATASET, Dataset, dataset
+from repro.video.datasets import DATASETS, PROFILING_DATASET, Dataset
 from repro.video.frames import sampled_frame_mask, segment_frames, segments_df
 
 
@@ -33,7 +33,7 @@ class TestDatasets:
         assert PROFILING_DATASET == {"A": "jackson", "B": "dashcam"}
 
     def test_lookup(self):
-        assert dataset("miami").name == "miami"
+        assert all(d.name == name for name, d in DATASETS.items())
 
     @pytest.mark.parametrize("name", list(DATASETS))
     def test_profile_ranges(self, name):
