@@ -100,7 +100,6 @@ class ErosionPlan:
     #: deleted[age][sf_index] -> cumulative deleted fraction at that age
     deleted_by_age: list[dict[int, float]]
     overall_by_age: list[float]
-    target_by_age: list[float]
     storage_kb_s_by_age: list[float]
     total_storage_kb_s: float  # summed across ages (one age = one day of video)
 
@@ -160,21 +159,19 @@ def _plan_along(t: _Trajectory, lifespan_days: int, k: float) -> ErosionPlan:
     its power-law target (or the last state). Overall speed need not fall
     monotonically along the trajectory, so this is a scan, not a search."""
     j, last = 0, len(t.deleted) - 1
-    by_age, ov_age, tgt_age, sto_age = [], [], [], []
+    by_age, ov_age, sto_age = [], [], []
     for age in range(1, lifespan_days + 1):
         target = _p_target(age, k, t.p_min)
         while j < last and t.overall[j] > target + 1e-9:
             j += 1
         by_age.append(dict(t.deleted[j]))
         ov_age.append(t.overall[j])
-        tgt_age.append(target)
         sto_age.append(t.storage_kb_s[j])
     return ErosionPlan(
         k=k,
         p_min=t.p_min,
         deleted_by_age=by_age,
         overall_by_age=ov_age,
-        target_by_age=tgt_age,
         storage_kb_s_by_age=sto_age,
         total_storage_kb_s=sum(sto_age),
     )

@@ -38,7 +38,6 @@ class Operator:
 
     name: str
     query: str  # "A" or "B"
-    runs_on: str  # "cpu" or "gpu" (documentation; costs already calibrated)
     stage: int  # position in its cascade (0 = scans everything)
     # accuracy surface parameters
     mq: float  # quality-loss multiplier

@@ -31,7 +31,6 @@ class StagePlanEntry:
     """Retrieval/consumption plan for one operator at one accuracy."""
 
     cf: Fidelity
-    sf: StorageFormat
     sf_id: str
     consumption_speed_x: float
     retrieval_x: float  # retrieval speed for this consumer's sampling rate
@@ -61,13 +60,11 @@ def _provider(
     entries = {}
     for c in cfg.consumers:
         cf, sf_id = route(c)
-        sf = sfs[sf_id]
         entries[(c.op_name, c.target_acc)] = StagePlanEntry(
             cf=cf,
-            sf=sf,
             sf_id=sf_id,
             consumption_speed_x=OPERATORS[c.op_name].consumption_speed_x(cf),
-            retrieval_x=retrieval_speed_x(sf, cf.sampling, motion),
+            retrieval_x=retrieval_speed_x(sfs[sf_id], cf.sampling, motion),
         )
     return FormatProvider(name, entries, sfs)
 

@@ -1,14 +1,17 @@
 """Cascade query execution over the stored video (paper §6.2, Fig 11a).
 
-A query is an operator cascade (Fig 2) at one target accuracy. Execution
-streams each 10-second segment from the store through (simulated) retrieval
-into the operators: a per-partition ``mapInPandas`` pass generates each
-segment's frames, applies each stage's consumption-format sampling, runs the
-stage's detector on the frames still *active* (flagged by the previous
-stage), and accounts simulated time per stage as
+A query is an operator cascade (Fig 2) at one target accuracy, run in two steps.
+*Execute* is the data plane: a per-partition ``mapInPandas`` pass generates each
+10-second segment's frames, applies each stage's consumption-format (CF)
+sampling and runs the stage's detector on the frames still *active* (flagged by
+the previous stage); one aggregation returns, per stage, the active
+video-seconds Σ(fraction_in * seconds) and the number of active segments. Which
+frames reach a stage depends only on the stream and the CFs, so one execution
+serves every configuration that consumes the same CFs. *Price* is the cost
+model, on the driver: per stage
 
-    t = fraction_in * seconds * max(1/retrieval_speed, 1/consumption_speed)
-        + fixed per-stage scheduling/IO overhead,
+    t = active_s * max(1/retrieval_speed, 1/consumption_speed)
+        + fixed per-stage scheduling/IO overhead * active_segments,
 
 i.e. retrieval and consumption are pipelined and the slower side binds (the
 paper's R2 motivation). Query speed = video duration / total simulated time,
@@ -17,13 +20,14 @@ reported as x-realtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.formats import Fidelity
 from repro.ops.library import CASCADES, OPERATORS
 from repro.query.alternatives import FormatProvider, StagePlanEntry
 from repro.video.datasets import Dataset
@@ -35,8 +39,7 @@ from repro.video.frames import sampled_frame_mask, segment_frames, segments_df
 OVERHEAD_S = 0.01
 
 STAGE_SCHEMA = (
-    "segment_id long, stage long, op string, frac_in double, flagged long, "
-    "processed long, sim_time_s double, seconds long"
+    "segment_id long, stage long, frac_in double, flagged long, processed long, seconds long"
 )
 STAGE_COLUMNS = [c.split()[0] for c in STAGE_SCHEMA.split(", ")]
 
@@ -60,15 +63,21 @@ def _propagate(active: "np.ndarray", mask: "np.ndarray", pred: "np.ndarray", n: 
 
 
 @dataclass(frozen=True)
+class StageRun:
+    """What executing one cascade stage yields for pricing."""
+
+    active_s: float  # video-seconds reaching the stage, Σ frac_in * seconds
+    active_segments: int  # segments with at least one frame reaching the stage
+
+
+@dataclass(frozen=True)
 class StageExec:
-    """Aggregated execution record of one cascade stage."""
+    """Priced execution record of one cascade stage."""
 
     op_name: str
-    cf_label: str
     sf_id: str
     retrieval_x: float
-    consumption_x: float
-    frac_in: float
+    frac_in: float  # share of the query's video-seconds reaching the stage
     sim_time_s: float
 
 
@@ -76,7 +85,6 @@ class StageExec:
 class QueryResult:
     """Outcome of one query run."""
 
-    provider: str
     dataset: str
     accuracy: float
     video_seconds: float
@@ -88,14 +96,16 @@ class QueryResult:
         return self.video_seconds / self.sim_time_s
 
 
-def _cascade(
-    spark: SparkSession, provider: FormatProvider, ds: Dataset, accuracy: float, hours: float
-) -> tuple[list[StagePlanEntry], DataFrame]:
-    """The cascade kernel: the per-stage plan and one row per (segment, stage)
-    of ``hours`` of video run through the dataset's cascade at ``accuracy``."""
+def stage_plan(provider: FormatProvider, ds: Dataset, accuracy: float) -> list[StagePlanEntry]:
+    """The provider's plan for each stage of the dataset's cascade."""
+    return [provider.entry(name, accuracy) for name in CASCADES[ds.query]]
+
+
+def _cascade(spark: SparkSession, ds: Dataset, cfs: Sequence[Fidelity], hours: float) -> DataFrame:
+    """The cascade kernel: one row per (segment, stage) of ``hours`` of video
+    run through the dataset's cascade, stage ``i`` consuming ``cfs[i]``."""
     ops = [OPERATORS[name] for name in CASCADES[ds.query]]
-    plan = [provider.entry(op.name, accuracy) for op in ops]
-    stages = list(enumerate(zip(ops, plan)))
+    stages = list(enumerate(zip(ops, cfs)))
 
     def run(batches: Iterable[pd.DataFrame]):
         for pdf in batches:
@@ -104,36 +114,65 @@ def _cascade(
                 frames = segment_frames(ds, int(r.segment_id))
                 n = len(frames)
                 active = np.ones(n, dtype=bool)
-                for stage, (op, e) in stages:
+                for stage, (op, cf) in stages:
                     frac_in = float(active.mean())
-                    mask = active & sampled_frame_mask(n, e.cf.sampling)
+                    mask = active & sampled_frame_mask(n, cf.sampling)
                     processed = frames[mask]
                     if len(processed):
-                        pred = op.detect(processed, e.cf, ds.motion, ds.event_rate)
+                        pred = op.detect(processed, cf, ds.motion, ds.event_rate)
                     else:
                         pred = np.zeros(0, dtype=bool)
-                    t = (
-                        frac_in
-                        * int(r.seconds)
-                        * max(1.0 / e.retrieval_x, 1.0 / e.consumption_speed_x)
-                        + (OVERHEAD_S if frac_in > 0 else 0.0)
-                    )
                     out.append(
-                        (
-                            int(r.segment_id),
-                            stage,
-                            op.name,
-                            frac_in,
-                            int(pred.sum()),
-                            int(len(processed)),
-                            t,
-                            int(r.seconds),
-                        )
+                        (int(r.segment_id), stage, frac_in, int(pred.sum()), int(len(processed)),
+                         int(r.seconds))
                     )
                     active = _propagate(active, mask, pred, n)
             yield pd.DataFrame(out, columns=STAGE_COLUMNS)
 
-    return plan, segments_df(spark, ds, hours=hours).mapInPandas(run, schema=STAGE_SCHEMA)
+    return segments_df(spark, ds, hours=hours).mapInPandas(run, schema=STAGE_SCHEMA)
+
+
+def execute(spark: SparkSession, ds: Dataset, cfs: Sequence[Fidelity], hours: float) -> list[StageRun]:
+    """Run the cascade once over ``hours`` of video; one record per stage."""
+    rows = (
+        _cascade(spark, ds, cfs, hours)
+        .groupBy("stage")
+        .agg(
+            F.sum(F.col("frac_in") * F.col("seconds")).alias("active_s"),
+            F.count(F.when(F.col("frac_in") > 0, 1)).alias("active_segments"),
+        )
+        .collect()
+    )
+    return [
+        StageRun(float(r["active_s"]), int(r["active_segments"]))
+        for r in sorted(rows, key=lambda r: r["stage"])
+    ]
+
+
+def price(
+    runs: Sequence[StageRun], plan: Sequence[StagePlanEntry], ds: Dataset, accuracy: float, hours: float
+) -> QueryResult:
+    """Simulated time of an executed cascade when each stage retrieves and
+    consumes as its ``plan`` entry says."""
+    video_seconds = hours * 3600.0
+    stages = tuple(
+        StageExec(
+            op_name=name,
+            sf_id=e.sf_id,
+            retrieval_x=e.retrieval_x,
+            frac_in=s.active_s / video_seconds,
+            sim_time_s=s.active_s * max(1.0 / e.retrieval_x, 1.0 / e.consumption_speed_x)
+            + OVERHEAD_S * s.active_segments,
+        )
+        for name, s, e in zip(CASCADES[ds.query], runs, plan)
+    )
+    return QueryResult(
+        dataset=ds.name,
+        accuracy=accuracy,
+        video_seconds=video_seconds,
+        sim_time_s=sum(s.sim_time_s for s in stages),
+        stages=stages,
+    )
 
 
 def run_query(
@@ -144,34 +183,7 @@ def run_query(
     *,
     hours: float = 1.0,
 ) -> QueryResult:
-    """Execute the dataset's cascade at one accuracy over ``hours`` of video."""
-    plan, rows = _cascade(spark, provider, ds, accuracy, hours)
-    agg = (
-        rows.groupBy("stage", "op")
-        .agg(
-            F.avg("frac_in").alias("frac_in"),
-            F.sum("sim_time_s").alias("sim_time_s"),
-        )
-        .orderBy("stage")
-        .collect()
-    )
-    stages = tuple(
-        StageExec(
-            op_name=a["op"],
-            cf_label=e.cf.label(),
-            sf_id=e.sf_id,
-            retrieval_x=e.retrieval_x,
-            consumption_x=e.consumption_speed_x,
-            frac_in=float(a["frac_in"]),
-            sim_time_s=float(a["sim_time_s"]),
-        )
-        for a, e in zip(agg, plan)  # every segment emits every stage
-    )
-    return QueryResult(
-        provider=provider.name,
-        dataset=ds.name,
-        accuracy=accuracy,
-        video_seconds=hours * 3600.0,
-        sim_time_s=sum(s.sim_time_s for s in stages),
-        stages=stages,
-    )
+    """Execute the dataset's cascade at one accuracy over ``hours`` of video,
+    then price it for ``provider``."""
+    plan = stage_plan(provider, ds, accuracy)
+    return price(execute(spark, ds, [e.cf for e in plan], hours), plan, ds, accuracy, hours)

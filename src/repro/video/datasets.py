@@ -10,7 +10,6 @@ at 720p30 h264. We have no video data, so each dataset is a content profile:
   and sampling-related accuracy loss (high motion punishes sparse sampling).
 - ``event_rate``: fraction of frames containing a query-relevant event
   (cars / plates / moving objects); drives cascade selectivity.
-- ``bitrate_kbps``: per-dataset base bitrate scale for the codec model.
 
 Profiles are the only thing the VStore algorithms ever observe about a video,
 so this substitution preserves the behaviour being studied (see DESIGN.md §2).
@@ -28,7 +27,6 @@ class Dataset:
     motion: float  # 0..1, inter-frame change intensity
     event_rate: float  # 0..1, fraction of frames with query-relevant events
     query: str  # "A" or "B" — which query the paper benchmarks on it
-    source: str  # camera type, for documentation
 
     def __post_init__(self) -> None:
         if not (0.0 < self.motion < 1.0 and 0.0 < self.event_rate < 1.0):
@@ -40,12 +38,12 @@ class Dataset:
 DATASETS: dict[str, Dataset] = {
     d.name: d
     for d in (
-        Dataset("jackson", motion=0.25, event_rate=0.40, query="A", source="surveillance, town square"),
-        Dataset("miami", motion=0.35, event_rate=0.45, query="A", source="surveillance, crosswalk"),
-        Dataset("tucson", motion=0.30, event_rate=0.35, query="A", source="surveillance, avenue"),
-        Dataset("dashcam", motion=0.85, event_rate=0.50, query="B", source="dash camera, parking lot"),
-        Dataset("park", motion=0.15, event_rate=0.20, query="B", source="surveillance, parking lot"),
-        Dataset("airport", motion=0.20, event_rate=0.25, query="B", source="surveillance, airport parking"),
+        Dataset("jackson", motion=0.25, event_rate=0.40, query="A"),  # surveillance, town square
+        Dataset("miami", motion=0.35, event_rate=0.45, query="A"),  # surveillance, crosswalk
+        Dataset("tucson", motion=0.30, event_rate=0.35, query="A"),  # surveillance, avenue
+        Dataset("dashcam", motion=0.85, event_rate=0.50, query="B"),  # dash camera, parking lot
+        Dataset("park", motion=0.15, event_rate=0.20, query="B"),  # surveillance, parking lot
+        Dataset("airport", motion=0.20, event_rate=0.25, query="B"),  # surveillance, airport parking
     )
 }
 

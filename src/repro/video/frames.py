@@ -4,7 +4,7 @@ VStore splits streams into 10-second segments (paper §4.1) and retrieves /
 deletes each independently. A *frame* here is a row of latent variables, not
 pixels: the operator substrate turns latents into detections with the shared-
 latent construction that makes measured F1 exactly monotone in fidelity
-(DESIGN.md §2). Latents are seeded by (dataset, segment, frame) so every
+(DESIGN.md §2). Latents are seeded by (dataset, segment, latent) so every
 profiling run, test, and the DuckDB oracle see identical content.
 
 Per-frame columns:
@@ -13,7 +13,6 @@ Per-frame columns:
              derived from ``u`` via a per-op hash offset).
 - ``v``    — detection latent (true-positive survival under fidelity loss).
 - ``w``    — false-positive latent.
-- ``local_motion`` — per-frame motion around the dataset mean.
 """
 from __future__ import annotations
 
@@ -36,24 +35,15 @@ def _seed(dataset_name: str, segment_id: int, salt: int = 0) -> int:
 
 
 def segment_frames(ds: Dataset, segment_id: int) -> pd.DataFrame:
-    """All frames of one segment as a pandas DataFrame (deterministic)."""
+    """The latents of one segment's frames as a pandas DataFrame
+    (deterministic; each latent has its own salted generator)."""
     n = SEGMENT_SECONDS * FPS
-    g = np.random.default_rng(_seed(ds.name, segment_id))
-    local_motion = np.clip(
-        ds.motion + 0.1 * g.standard_normal(n), 0.01, 0.99
-    )
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
-            "dataset": ds.name,
-            "segment_id": np.int64(segment_id),
-            "frame_id": np.arange(n, dtype=np.int64),
-            "local_motion": local_motion,
+            c: np.random.default_rng(_seed(ds.name, segment_id, salt=i + 1)).random(n)
+            for i, c in enumerate(_LATENTS)
         }
     )
-    for i, c in enumerate(_LATENTS):
-        gl = np.random.default_rng(_seed(ds.name, segment_id, salt=i + 1))
-        pdf[c] = gl.random(n)
-    return pdf
 
 
 def sampled_frame_mask(n_frames: int, sampling) -> np.ndarray:

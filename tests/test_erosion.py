@@ -191,7 +191,8 @@ class TestPlanErosion:
     def test_overall_tracks_target(self, plan):
         day_bytes = plan.storage_kb_per_s() * 86_400 * 1024
         ep = plan_erosion(plan, lifespan_days=10, storage_budget_bytes=5 * day_bytes)
-        for ov, tgt in zip(ep.overall_by_age, ep.target_by_age):
+        for age, ov in enumerate(ep.overall_by_age, start=1):
+            tgt = (1.0 - ep.p_min) * age ** (-ep.k) + ep.p_min
             assert ov <= tgt + 1e-6 or ov == pytest.approx(ep.p_min, abs=1e-6)
 
     def test_storage_decreases_with_age(self, plan):

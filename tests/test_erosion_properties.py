@@ -104,7 +104,6 @@ def reference_plan_for_k(
         p_min=p_min,
         deleted_by_age=by_age,
         overall_by_age=ov_age,
-        target_by_age=tgt_age,
         storage_kb_s_by_age=sto_age,
         total_storage_kb_s=sum(sto_age),
     )

@@ -1,6 +1,7 @@
 """Source hygiene: no Python file of the repository imports a name it never
-uses, and every ``repro`` module, and every public name in one, is used by the
-program (``src/repro``, ``jobs`` or ``perfbench``), not only by the tests."""
+uses, and every ``repro`` module, every public name in one and every field of
+its classes is used by the program (``src/repro``, ``jobs`` or
+``perfbench``), not only by the tests."""
 import ast
 import pathlib
 
@@ -121,6 +122,41 @@ def names_without_caller() -> list[str]:
     return missing
 
 
+def _fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` for every annotated field of a module's classes."""
+    return [
+        f"{node.name}.{f.target.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for f in node.body
+        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+    ]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Attributes a module loads and its string constants (Spark rows and
+    perfbench read fields by name). Constructor keywords write, not read."""
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def fields_never_read() -> list[str]:
+    """Fields of ``repro`` classes that no program file ever reads."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in PROGRAM}
+    reads = set().union(*map(_reads, trees.values()))
+    return sorted(
+        field
+        for path, tree in trees.items()
+        if path.is_relative_to(ROOT / "src/repro") and _module_name(path) not in TEST_ONLY
+        for field in _fields(tree)
+        if field.split(".")[1] not in reads
+    )
+
+
 def test_modules_found():
     assert len(MODULES) > 40
 
@@ -135,3 +171,7 @@ def test_every_module_has_a_caller():
 
 def test_every_public_name_has_a_caller():
     assert names_without_caller() == []
+
+
+def test_every_field_is_read():
+    assert fields_never_read() == []

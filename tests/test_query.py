@@ -6,7 +6,7 @@ from repro.codec.transcode import ingest_cores_per_stream, storage_kb_per_s
 from repro.core.config import ConfigOptions, derive_config
 from repro.oracle import assert_equivalent
 from repro.query.alternatives import make_provider
-from repro.query.cascade import _cascade, run_query
+from repro.query.cascade import _cascade, execute, run_query, stage_plan
 from repro.video.datasets import DATASETS
 
 KINDS = ("vstore", "1->1", "1->N", "N->N")
@@ -48,8 +48,9 @@ class TestProviders:
     def test_one_to_n_retrieval_capped_by_golden_decode(self, providers, cfg):
         # §6.2: 1->N caps every consumer at the golden format's decode speed
         g = cfg.storage.golden.fidelity
+        sfs = providers["1->N"].sfs
         for e in providers["1->N"].entries.values():
-            cap = decode_speed_x(g, e.sf.coding, 1, DATASETS["jackson"].motion)
+            cap = decode_speed_x(g, sfs[e.sf_id].coding, 1, DATASETS["jackson"].motion)
             assert e.retrieval_x <= cap * 7  # sparse samplers gain from skips
 
 
@@ -126,21 +127,38 @@ class TestQueryExecution:
         assert a.speed_x == pytest.approx(b.speed_x)
 
     def test_detections_oracle(self, spark, providers):
-        # per-stage flagged totals agree between Spark SQL and DuckDB
-        _, det = _cascade(spark, providers["vstore"], DATASETS["jackson"], 0.9, 0.02)
-        det = det.cache()
-        got = (
-            det.groupBy("op").sum("flagged").withColumnRenamed("sum(flagged)", "n")
-        )
-        assert_equivalent(
-            got, "SELECT op, sum(flagged) AS n FROM det GROUP BY op", det=det
-        )
+        # per-stage flagged totals, and the pricing inputs that execute()
+        # aggregates, agree between Spark SQL and DuckDB over the kernel rows;
+        # on park some segments have no frame left at the later stages
+        for name, acc, hours in (("jackson", 0.9, 0.02), ("park", 0.8, 0.05)):
+            ds = DATASETS[name]
+            cfs = [e.cf for e in stage_plan(providers["vstore"], ds, acc)]
+            det = _cascade(spark, ds, cfs, hours).cache()
+            got = (
+                det.groupBy("stage").sum("flagged").withColumnRenamed("sum(flagged)", "n")
+            )
+            assert_equivalent(
+                got, "SELECT stage, sum(flagged) AS n FROM det GROUP BY stage", det=det
+            )
+            runs = enumerate(execute(spark, ds, cfs, hours))
+            got = spark.createDataFrame(
+                [(i, r.active_s, r.active_segments) for i, r in runs],
+                "stage long, active_s double, active_segments long",
+            )
+            assert_equivalent(
+                got,
+                "SELECT stage, sum(frac_in * seconds) AS active_s, count(*) FILTER "
+                "(WHERE frac_in > 0) AS active_segments FROM det GROUP BY stage",
+                det=det,
+            )
 
     def test_detections_bounded_by_processed(self, spark, providers):
         # each stage flags a subset of the frames it actually processed;
         # (raw counts are not monotone across stages because each stage
         # samples the propagated active set at its own CF rate)
-        _, det = _cascade(spark, providers["vstore"], DATASETS["jackson"], 0.9, 0.02)
+        ds = DATASETS["jackson"]
+        cfs = [e.cf for e in stage_plan(providers["vstore"], ds, 0.9)]
+        det = _cascade(spark, ds, cfs, 0.02)
         assert det.filter("flagged < 0").count() == 0
         last = det.filter("stage = 2").agg({"flagged": "sum"}).collect()[0][0]
         first = det.filter("stage = 0").agg({"flagged": "sum"}).collect()[0][0]

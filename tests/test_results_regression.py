@@ -1,11 +1,18 @@
 """The simulated numbers in ``results/*.txt`` regenerate exactly from the
-jobs that print them (local-mode profiling, no Spark session)."""
+jobs that print them (local-mode profiling; only Fig 11's queries run on
+Spark)."""
 import os
 import re
 
 import pytest
 
-from jobs import fig12_erosion, fig13_overhead, table2_configuration, table3_ingest_budget
+from jobs import (
+    fig11_end_to_end,
+    fig12_erosion,
+    fig13_overhead,
+    table2_configuration,
+    table3_ingest_budget,
+)
 from jobs.common import RESULTS_DIR
 
 #: wall-clock fields of a job's output: Fig 13's timings of the two §6.4
@@ -47,3 +54,11 @@ def test_table2_matches_results():
         return [line for line in ls if not line.startswith("derivation wall time")]
 
     assert simulated(lines) == simulated(recorded("table2_configuration"))
+
+
+def test_fig11_matches_results(spark):
+    # every query cell of Fig 11(a) executes its cascade on Spark; the
+    # recorded file has no wall-time field
+    lines = []
+    fig11_end_to_end.main(spark, lines.append)
+    assert lines == recorded("fig11_end_to_end")
