@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-import pandas as pd
 
 from repro.formats import FPS, Fidelity, pixel_ratio
 
@@ -30,6 +30,9 @@ from repro.formats import FPS, Fidelity, pixel_ratio
 QUALITY_LOSS = {"best": 0.0, "good": 0.05, "bad": 0.16, "worst": 0.30}
 
 _GOLDEN_RATIO = 0.6180339887498949
+
+#: the ingestion fidelity, where retention is 1 and the false-positive rate 0
+_GOLDEN = Fidelity("best", 720, Fraction(1), 1.0)
 
 
 @dataclass(frozen=True)
@@ -93,34 +96,59 @@ class Operator:
 
     # -- execution ------------------------------------------------------------
 
-    def _streams(self, frames: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decorrelated per-operator latent streams from the shared frame
-        latents (stable across fidelities — that is the whole point)."""
-        off = (hashable_index(self.name) + 1) * _GOLDEN_RATIO
-        u = (frames["u"].to_numpy() * 7919.0 + off) % 1.0
-        v = (frames["v"].to_numpy() * 104729.0 + off) % 1.0
-        w = (frames["w"].to_numpy() * 1299709.0 + off) % 1.0
-        return u, v, w
-
-    def ground_truth(self, frames: pd.DataFrame, motion: float, event_rate: float) -> np.ndarray:
-        u, _, _ = self._streams(frames)
-        return u < self.positive_rate(motion, event_rate)
-
-    def detect(
-        self, frames: pd.DataFrame, f: Fidelity, motion: float, event_rate: float
-    ) -> np.ndarray:
-        """Predicted labels for every frame at fidelity ``f``.
+    def detector(self, f: Fidelity, motion: float, event_rate: float) -> "Detector":
+        """This operator's detector at fidelity ``f`` on content with the given
+        motion and event rate.
 
         Retention R = analytic accuracy; the false-positive rate is chosen so
         precision == recall == R in expectation, hence measured F1 ~= R.
-        Shared latents make detection sets nested across fidelities.
         """
-        u, v, w = self._streams(frames)
         pos = self.positive_rate(motion, event_rate)
         r = self.accuracy(f, motion)
-        fp = float(np.clip(pos * (1.0 - r) / max(1.0 - pos, 1e-9), 0.0, 1.0))
-        gt = u < pos
-        return (gt & (v < r)) | (~gt & (w < fp))
+        return Detector(
+            off=(hashable_index(self.name) + 1) * _GOLDEN_RATIO,
+            pos=pos,
+            r=r,
+            fp=float(np.clip(pos * (1.0 - r) / max(1.0 - pos, 1e-9), 0.0, 1.0)),
+        )
+
+    def ground_truth(self, frames: np.ndarray, motion: float, event_rate: float) -> np.ndarray:
+        """Ground-truth labels of ``frames``."""
+        return self.detector(_GOLDEN, motion, event_rate).truth(frames)
+
+    def detect(
+        self, frames: np.ndarray, f: Fidelity, motion: float, event_rate: float
+    ) -> np.ndarray:
+        """Predicted labels of ``frames`` at fidelity ``f``."""
+        return self.detector(f, motion, event_rate)(frames)
+
+
+@dataclass(frozen=True)
+class Detector:
+    """One operator's detector at one fidelity: constants computed once,
+    applied to any number of frames (latent records with fields ``u, v, w``;
+    see :func:`repro.video.frames.segment_frames`).
+
+    Each operator decorrelates the shared frame latents with its own offset
+    (stable across fidelities — that is the whole point): shared latents make
+    detection sets nested across fidelities.
+    """
+
+    off: float  # per-operator latent offset
+    pos: float  # positive rate: ground truth is the operator's ``u`` stream below it
+    r: float  # true-positive retention (the analytic accuracy)
+    fp: float  # false-positive rate
+
+    def truth(self, frames: np.ndarray) -> np.ndarray:
+        """Ground-truth labels of ``frames``."""
+        return (frames["u"] * 7919.0 + self.off) % 1.0 < self.pos
+
+    def __call__(self, frames: np.ndarray) -> np.ndarray:
+        """Predicted labels of ``frames``."""
+        gt = self.truth(frames)
+        return (gt & ((frames["v"] * 104729.0 + self.off) % 1.0 < self.r)) | (
+            ~gt & ((frames["w"] * 1299709.0 + self.off) % 1.0 < self.fp)
+        )
 
 
 def hashable_index(name: str) -> int:

@@ -1,10 +1,11 @@
 """Cascade query execution over the stored video (paper §6.2, Fig 11a).
 
 A query is an operator cascade (Fig 2) at one target accuracy, run in two steps.
-*Execute* is the data plane: a per-partition ``mapInPandas`` pass generates each
-10-second segment's frames, applies each stage's consumption-format (CF)
-sampling and runs the stage's detector on the frames still *active* (flagged by
-the previous stage); one aggregation returns, per stage, the active
+*Execute* is the data plane, one Spark job with no shuffle: a per-partition
+``mapInPandas`` numpy kernel generates each 10-second segment's frames, applies
+each stage's consumption-format (CF) sampling and runs the stage's detector on
+the frames still *active* (flagged by the previous stage); its per-(segment,
+stage) rows are aggregated on the driver into, per stage, the active
 video-seconds Σ(fraction_in * seconds) and the number of active segments. Which
 frames reach a stage depends only on the stream and the CFs, so one execution
 serves every configuration that consumes the same CFs. *Price* is the cost
@@ -14,24 +15,30 @@ model, on the driver: per stage
         + fixed per-stage scheduling/IO overhead * active_segments,
 
 i.e. retrieval and consumption are pipelined and the slower side binds (the
-paper's R2 motivation). Query speed = video duration / total simulated time,
-reported as x-realtime.
+paper's R2 motivation). Query speed = executed video duration (whole segments)
+/ total simulated time, reported as x-realtime.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.formats import Fidelity
+from repro.formats import SEGMENT_SECONDS, Fidelity
 from repro.ops.library import CASCADES, OPERATORS
 from repro.query.alternatives import FormatProvider, StagePlanEntry
 from repro.video.datasets import Dataset
-from repro.video.frames import sampled_frame_mask, segment_frames, segments_df
+from repro.video.frames import (
+    SEGMENT_FRAMES,
+    sampled_frame_mask,
+    segment_count,
+    segment_frames,
+    segments_df,
+)
 
 #: fixed scheduler/decoder-setup/IO cost per (segment, active stage), seconds.
 #: Calibrated so absolute query speeds land in the paper's x-realtime range
@@ -104,48 +111,39 @@ def stage_plan(provider: FormatProvider, ds: Dataset, accuracy: float) -> list[S
 def _cascade(spark: SparkSession, ds: Dataset, cfs: Sequence[Fidelity], hours: float) -> DataFrame:
     """The cascade kernel: one row per (segment, stage) of ``hours`` of video
     run through the dataset's cascade, stage ``i`` consuming ``cfs[i]``."""
-    ops = [OPERATORS[name] for name in CASCADES[ds.query]]
-    stages = list(enumerate(zip(ops, cfs)))
+    # per stage: the detector at its CF and the frames its sampling admits
+    stages = [
+        (OPERATORS[name].detector(cf, ds.motion, ds.event_rate),
+         sampled_frame_mask(SEGMENT_FRAMES, cf.sampling))
+        for name, cf in zip(CASCADES[ds.query], cfs)
+    ]
 
     def run(batches: Iterable[pd.DataFrame]):
         for pdf in batches:
             out = []
-            for r in pdf.itertuples(index=False):
-                frames = segment_frames(ds, int(r.segment_id))
-                n = len(frames)
-                active = np.ones(n, dtype=bool)
-                for stage, (op, cf) in stages:
+            for sid, seconds in zip(pdf["segment_id"].tolist(), pdf["seconds"].tolist()):
+                frames = segment_frames(ds, sid)
+                active = np.ones(SEGMENT_FRAMES, dtype=bool)
+                for stage, (detect, sampled) in enumerate(stages):
                     frac_in = float(active.mean())
-                    mask = active & sampled_frame_mask(n, cf.sampling)
-                    processed = frames[mask]
-                    if len(processed):
-                        pred = op.detect(processed, cf, ds.motion, ds.event_rate)
-                    else:
-                        pred = np.zeros(0, dtype=bool)
-                    out.append(
-                        (int(r.segment_id), stage, frac_in, int(pred.sum()), int(len(processed)),
-                         int(r.seconds))
-                    )
-                    active = _propagate(active, mask, pred, n)
+                    mask = active & sampled
+                    pred = detect(frames[mask])
+                    out.append((sid, stage, frac_in, int(pred.sum()), len(pred), seconds))
+                    active = _propagate(active, mask, pred, SEGMENT_FRAMES)
             yield pd.DataFrame(out, columns=STAGE_COLUMNS)
 
     return segments_df(spark, ds, hours=hours).mapInPandas(run, schema=STAGE_SCHEMA)
 
 
 def execute(spark: SparkSession, ds: Dataset, cfs: Sequence[Fidelity], hours: float) -> list[StageRun]:
-    """Run the cascade once over ``hours`` of video; one record per stage."""
-    rows = (
-        _cascade(spark, ds, cfs, hours)
-        .groupBy("stage")
-        .agg(
-            F.sum(F.col("frac_in") * F.col("seconds")).alias("active_s"),
-            F.count(F.when(F.col("frac_in") > 0, 1)).alias("active_segments"),
-        )
-        .collect()
-    )
+    """Run the cascade once over ``hours`` of video; one record per stage.
+
+    One Spark job with no shuffle: the kernel's per-(segment, stage) rows come
+    back to the driver, which sums them per stage."""
+    rows = _cascade(spark, ds, cfs, hours).toPandas()
     return [
-        StageRun(float(r["active_s"]), int(r["active_segments"]))
-        for r in sorted(rows, key=lambda r: r["stage"])
+        StageRun(math.fsum(g["frac_in"] * g["seconds"]), int((g["frac_in"] > 0).sum()))
+        for _, g in rows.groupby("stage")
     ]
 
 
@@ -154,7 +152,7 @@ def price(
 ) -> QueryResult:
     """Simulated time of an executed cascade when each stage retrieves and
     consumes as its ``plan`` entry says."""
-    video_seconds = hours * 3600.0
+    video_seconds = float(segment_count(hours) * SEGMENT_SECONDS)
     stages = tuple(
         StageExec(
             op_name=name,

@@ -1,13 +1,13 @@
 """Deterministic synthetic frame / segment generation.
 
 VStore splits streams into 10-second segments (paper §4.1) and retrieves /
-deletes each independently. A *frame* here is a row of latent variables, not
-pixels: the operator substrate turns latents into detections with the shared-
-latent construction that makes measured F1 exactly monotone in fidelity
+deletes each independently. A *frame* here is a record of latent variables,
+not pixels: the operator substrate turns latents into detections with the
+shared-latent construction that makes measured F1 exactly monotone in fidelity
 (DESIGN.md §2). Latents are seeded by (dataset, segment, latent) so every
 profiling run, test, and the DuckDB oracle see identical content.
 
-Per-frame columns:
+A segment's frames are one numpy structured array, a float field per latent:
 - ``u``    — event latent; frame is ground-truth positive for op *i* iff
              ``u_i < positive_rate`` (one independent stream per operator,
              derived from ``u`` via a per-op hash offset).
@@ -25,7 +25,10 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.formats import FPS, SEGMENT_SECONDS
 from repro.video.datasets import Dataset
 
-_LATENTS = ("u", "v", "w")
+#: frames in one 10-second segment
+SEGMENT_FRAMES = SEGMENT_SECONDS * FPS
+
+_LATENTS = np.dtype([("u", np.float64), ("v", np.float64), ("w", np.float64)])
 
 
 def _seed(dataset_name: str, segment_id: int, salt: int = 0) -> int:
@@ -34,16 +37,16 @@ def _seed(dataset_name: str, segment_id: int, salt: int = 0) -> int:
     return zlib.crc32(f"{dataset_name}/{int(segment_id)}/{salt}".encode())
 
 
-def segment_frames(ds: Dataset, segment_id: int) -> pd.DataFrame:
-    """The latents of one segment's frames as a pandas DataFrame
-    (deterministic; each latent has its own salted generator)."""
-    n = SEGMENT_SECONDS * FPS
-    return pd.DataFrame(
-        {
-            c: np.random.default_rng(_seed(ds.name, segment_id, salt=i + 1)).random(n)
-            for i, c in enumerate(_LATENTS)
-        }
-    )
+def segment_frames(ds: Dataset, segment_id: int) -> np.ndarray:
+    """The latents of one segment's frames: a structured array of
+    ``SEGMENT_FRAMES`` frames with fields ``u, v, w`` (deterministic; each
+    latent has its own salted generator)."""
+    frames = np.empty(SEGMENT_FRAMES, dtype=_LATENTS)
+    for i, c in enumerate(_LATENTS.names):
+        frames[c] = np.random.default_rng(_seed(ds.name, segment_id, salt=i + 1)).random(
+            SEGMENT_FRAMES
+        )
+    return frames
 
 
 def sampled_frame_mask(n_frames: int, sampling) -> np.ndarray:
@@ -54,9 +57,15 @@ def sampled_frame_mask(n_frames: int, sampling) -> np.ndarray:
     return idx % max(1, k) == 0
 
 
+def segment_count(hours: float) -> int:
+    """Whole 10-second segments in ``hours`` of video (at least one): what
+    :func:`segments_df` generates and a query over ``hours`` executes."""
+    return max(1, int(hours * 3600 / SEGMENT_SECONDS))
+
+
 def segments_df(spark: SparkSession, ds: Dataset, *, hours: float = 1.0) -> DataFrame:
     """Segment metadata for ``hours`` of one stream as a Spark DataFrame."""
-    n = max(1, int(hours * 3600 / SEGMENT_SECONDS))
+    n = segment_count(hours)
     seg = np.arange(n, dtype=np.int64)
     g = np.random.default_rng(_seed(ds.name, -1))
     pdf = pd.DataFrame(
@@ -69,4 +78,3 @@ def segments_df(spark: SparkSession, ds: Dataset, *, hours: float = 1.0) -> Data
         }
     )
     return spark.createDataFrame(pdf)
-

@@ -121,6 +121,42 @@ class TestQueryExecution:
         assert r.sim_time_s == pytest.approx(sum(s.sim_time_s for s in r.stages))
         assert r.speed_x == pytest.approx(r.video_seconds / r.sim_time_s)
 
+    def test_partial_hours_priced_over_executed_segments(self, spark, providers):
+        # 0.02 h is 72 s, but only 7 whole 10-s segments (70 s) execute
+        r = run_query(spark, providers["vstore"], DATASETS["jackson"], 0.9, hours=0.02)
+        assert r.video_seconds == 70
+        assert r.stages[0].frac_in == 1.0
+
+    def test_execute_is_one_shuffle_free_job(self, spark, providers):
+        # the kernel's rows are aggregated on the driver: one job, one stage
+        sc = spark.sparkContext
+        ds = DATASETS["jackson"]
+        cfs = [e.cf for e in stage_plan(providers["vstore"], ds, 0.9)]
+        sc.setJobGroup("test-execute-one-job", "execute")
+        try:
+            execute(spark, ds, cfs, 0.05)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        tracker = sc.statusTracker()
+        jobs = tracker.getJobIdsForGroup("test-execute-one-job")
+        assert len(jobs) == 1
+        assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1
+
+    @pytest.mark.parametrize("name,acc,want", [
+        # per stage (Σ flagged, Σ processed, active segments) over 0.05 h
+        ("jackson", 0.9, [(78, 180, 18), (187, 390, 18), (305, 561, 18)]),
+        ("park", 0.8, [(38, 180, 18), (22, 38, 17), (3, 22, 14)]),
+    ])
+    def test_kernel_integer_outputs_pinned(self, spark, cfg, name, acc, want):
+        ds = DATASETS[name]
+        cfs = [e.cf for e in stage_plan(make_provider("vstore", cfg, ds.motion), ds, acc)]
+        sums = _cascade(spark, ds, cfs, 0.05).toPandas().groupby("stage").sum()
+        got = [
+            (int(sums["flagged"][i]), int(sums["processed"][i]), r.active_segments)
+            for i, r in enumerate(execute(spark, ds, cfs, 0.05))
+        ]
+        assert got == want
+
     def test_deterministic(self, spark, providers):
         a = run_query(spark, providers["vstore"], DATASETS["miami"], 0.9, hours=0.02)
         b = run_query(spark, providers["vstore"], DATASETS["miami"], 0.9, hours=0.02)

@@ -2,7 +2,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.formats import FPS, SEGMENT_SECONDS
@@ -49,7 +48,7 @@ class TestSegmentFrames:
     def test_deterministic(self):
         a = segment_frames(DATASETS["park"], 7)
         b = segment_frames(DATASETS["park"], 7)
-        pd.testing.assert_frame_equal(a, b)
+        np.testing.assert_array_equal(a, b)
 
     def test_segments_differ(self):
         a = segment_frames(DATASETS["park"], 1)
@@ -64,7 +63,7 @@ class TestSegmentFrames:
     @pytest.mark.parametrize("col", ["u", "v", "w"])
     def test_latents_in_unit_interval(self, col):
         pdf = segment_frames(DATASETS["dashcam"], 3)
-        assert pdf[col].between(0, 1).all()
+        assert ((pdf[col] >= 0) & (pdf[col] <= 1)).all()
 
 
 class TestSampledMask:
