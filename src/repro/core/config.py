@@ -3,31 +3,30 @@
 ``derive_config`` runs the whole pipeline the paper's Table 2 snapshot shows:
 profile the query-A operators on *jackson* and the query-B operators on
 *dashcam* (§6.1), derive one consumption format per <operator, accuracy>
-consumer with the §4.2 staircase search (all operators of one accuracy in
-lockstep waves, one profiling batch per wave), then coalesce the
-storage-format set with §4.3. Budgets are applied separately: ingestion
-(Table 3) by calling :func:`repro.core.storage.derive_storage_plan` with a
-budget, storage (§4.4) via :func:`repro.core.erosion.plan_erosion`.
+consumer with the §4.2 staircase search (each operator's searches richest
+accuracy first, so memoization helps the lower targets), then coalesce the
+storage-format set with §4.3. In ``spark`` mode every operator's searches run
+whole inside one task of one Spark job, and the driver folds each task's memo
+entries, runs and hits into the operator's profiler: it ends in the state
+``local`` mode leaves. Budgets are applied separately: ingestion (Table 3) by
+calling :func:`repro.core.storage.derive_storage_plan` with a budget, storage
+(§4.4) via :func:`repro.core.erosion.plan_erosion`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from pyspark.sql import SparkSession
 
 from repro.codec.model import raw_retrieval_speed_x
-from repro.core import consumption
-from repro.core.consumption import DerivedCF, derive_consumption_formats
+from repro.core.consumption import DerivedCF, derive_consumption_format
 from repro.core.storage import Consumer, StoragePlan, derive_storage_plan
+from repro.ops.base import Operator
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
-from repro.profiler.consumption import ConsumptionProfiler
+from repro.profiler.consumption import ConsumptionProfiler, map_in_one_job
 from repro.profiler.storage import StorageProfiler
-from repro.video.datasets import DATASETS, PROFILING_DATASET
-
-#: The one-consumer entry point, named here because perfbench's tracer spans
-#: ``repro.core.config.derive_consumption_format``; ``derive_config`` itself
-#: runs the lockstep ``derive_consumption_formats``.
-derive_consumption_format = consumption.derive_consumption_format
+from repro.video.datasets import DATASETS, PROFILING_DATASET, Dataset
 
 
 @dataclass
@@ -69,17 +68,26 @@ def derive_config(
         )
         for q in ("A", "B")
     }
-    # One lockstep pass per accuracy, richest first so memoization helps the
-    # lower targets: each operator's searches then meet the memo in the same
-    # order as one-at-a-time derivation would.
     ops = [OPERATORS[name] for name in opt.op_names]
-    derived: dict[tuple[str, float], DerivedCF] = {}
-    for acc in sorted(opt.accuracies, reverse=True):
-        found = derive_consumption_formats([(profilers[op.query], op) for op in ops], acc)
-        derived.update(((name, acc), d) for name, d in zip(opt.op_names, found))
+    accs = sorted(opt.accuracies, reverse=True)
+    if opt.profiler_mode == "spark":
+        work = [(profilers[op.query].ds, op) for op in ops]
+        tasks = map_in_one_job(spark, partial(_derive_in_task, accs), work)
+        found = []
+        for op, (cfs, memo, runs, hits) in zip(ops, tasks):
+            p = profilers[op.query]
+            p.memo.update(memo)
+            p.runs += runs
+            p.hits += hits
+            found.append(cfs)
+    else:
+        found = [_derive_operator(profilers[op.query], op, accs) for op in ops]
+    derived = {
+        (name, acc): d for name, cfs in zip(opt.op_names, found) for acc, d in zip(accs, cfs)
+    }
     consumers: list[Consumer] = []
     for name in opt.op_names:
-        for acc in sorted(opt.accuracies, reverse=True):
+        for acc in accs:
             d = derived[(name, acc)]
             # R2 demand cap: a consumer cannot be fed faster than the fastest
             # possible retrieval of its own fidelity (raw frames off disk), so
@@ -103,3 +111,19 @@ def derive_config(
         storage=storage,
         profiling_runs_consumption=total_runs,
     )
+
+
+def _derive_operator(
+    profiler: ConsumptionProfiler, op: Operator, accuracies: list[float]
+) -> list[DerivedCF]:
+    """One operator's staircase searches, in the order of ``accuracies``."""
+    return [derive_consumption_format(profiler, op, acc) for acc in accuracies]
+
+
+def _derive_in_task(accuracies: list[float], work: tuple[Dataset, Operator]):
+    """The spark-mode derivation task of one operator: its searches on a
+    ``local`` profiler of its profiling dataset; returns the derived CFs and
+    the profiler's memo, runs and hits."""
+    ds, op = work
+    profiler = ConsumptionProfiler(ds, mode="local")
+    return _derive_operator(profiler, op, accuracies), profiler.memo, profiler.runs, profiler.hits

@@ -10,27 +10,28 @@ accuracy and consumption speed. Here a profiling run
 4. scores F1 against the operator's full-fidelity output (the paper's ground
    truth), and reads consumption speed off the calibrated cost model.
 
-Three execution modes:
+Two execution modes, with identical arithmetic (same frames, same results):
 
 - ``spark`` (the default; the Table 2 job and perfbench's configure workload
-  run it): profiling requests are rows of a DataFrame, evaluated by a
-  per-partition ``mapInPandas`` UDF that generates the clip and runs the
-  operator inside the executor — the data plane the repro brief asks for.
-- ``local``: identical arithmetic on the driver (same frames, same results);
-  used by the other jobs and by fast unit tests.
-- ``analytic``: F1 is the operator's analytic surface (noise-free); used by
-  algorithm-equivalence tests (staircase vs exhaustive).
+  run it): a batch of profiling runs is one Spark job whose tasks generate
+  the clip and run the operator inside the executor — the data plane the
+  repro brief asks for;
+- ``local``: on the driver; used by the other jobs, by fast unit tests and,
+  inside one executor task per operator, by the spark-mode derivation
+  (``repro.core.config``).
 
 Results are memoized per (operator, fidelity); ``runs`` counts cache misses
 (actual profiling work) and ``hits`` counts memoized reuse — the quantities
-Fig 13 reports. :func:`profile_batch` serves requests of several profilers
-and operators at once; the §4.2 staircase sends each lockstep wave through
-it, so a wave costs one Spark job.
+Fig 13 reports. :func:`map_in_one_job` is the one Spark seam: a spark-mode
+:meth:`ConsumptionProfiler.profile_many` batch and the spark-mode derivation
+both go through it.
 """
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -77,6 +78,34 @@ def evaluate_profile(op: Operator, f: Fidelity, ds: Dataset) -> ProfileResult:
     return ProfileResult(f1=f1, speed_x=op.consumption_speed_x(f))
 
 
+def map_in_one_job(spark: SparkSession, fn: Callable, items: list) -> list:
+    """``[fn(x) for x in items]``, evaluated in one shuffle-free Spark job.
+
+    ``fn`` and the items reach the executors through the closure; only each
+    item's index travels as a column, and each result comes back pickled.
+    ``range`` partitions the indices itself, so the job has no shuffle stage.
+    At most one partition per core: more only add per-task cost (on 4 cores,
+    64 profiling jobs took 26 s with 4 partitions each and 49 s with 16).
+    """
+    if not items:
+        return []
+
+    def run(batches: Iterable[pd.DataFrame]):
+        for pdf in batches:
+            yield pd.DataFrame(
+                {"id": pdf["id"], "out": [pickle.dumps(fn(items[i])) for i in pdf["id"]]}
+            )
+
+    n = len(items)
+    rows = (
+        spark.range(0, n, 1, min(n, spark.sparkContext.defaultParallelism))
+        .mapInPandas(run, schema="id long, out binary")
+        .collect()
+    )
+    out = {r["id"]: r["out"] for r in rows}
+    return [pickle.loads(out[i]) for i in range(n)]
+
+
 class ConsumptionProfiler:
     """Memoizing operator profiler over one dataset's sample clips."""
 
@@ -87,7 +116,7 @@ class ConsumptionProfiler:
         *,
         mode: str = "spark",
     ) -> None:
-        if mode not in ("spark", "local", "analytic"):
+        if mode not in ("spark", "local"):
             raise ValueError(f"unknown profiler mode {mode!r}")
         if mode == "spark" and spark is None:
             raise ValueError("spark mode needs a SparkSession")
@@ -98,85 +127,27 @@ class ConsumptionProfiler:
         self.runs = 0
         self.hits = 0
 
-    # -- public API -----------------------------------------------------------
-
     def profile(self, op: Operator, f: Fidelity) -> ProfileResult:
         """Profile one (operator, fidelity); memoized."""
         return self.profile_many(op, [f])[0]
 
     def profile_many(self, op: Operator, fs: list[Fidelity]) -> list[ProfileResult]:
-        """Profile a batch of fidelities for one operator (one Spark job)."""
-        return profile_batch([(self, op, f) for f in fs])
+        """Profile a batch of fidelities for one operator.
+
+        A fidelity already in the memo counts as a hit; each distinct miss
+        counts as a run. The misses are evaluated together: on the driver,
+        or, in ``spark`` mode, in one Spark job.
+        """
+        self.hits += sum((op, f) in self.memo for f in fs)
+        missing = list(dict.fromkeys(f for f in fs if (op, f) not in self.memo))
+        if self.mode == "spark":
+            results = map_in_one_job(self.spark, partial(evaluate_profile, op, ds=self.ds), missing)
+        else:
+            results = [self._evaluate(op, f) for f in missing]
+        self.runs += len(missing)
+        self.memo.update(((op, f), r) for f, r in zip(missing, results))
+        return [self.memo[(op, f)] for f in fs]
 
     def _evaluate(self, op: Operator, f: Fidelity) -> ProfileResult:
-        """One profiling run on the driver (``local`` and ``analytic``)."""
-        if self.mode == "analytic":
-            return ProfileResult(
-                f1=op.accuracy(f, self.ds.motion), speed_x=op.consumption_speed_x(f)
-            )
+        """One profiling run on the driver (``local`` mode)."""
         return evaluate_profile(op, f, self.ds)
-
-
-#: one profiling request: the profiler whose memo and sample clip serve it,
-#: the operator and the fidelity
-Probe = tuple[ConsumptionProfiler, Operator, Fidelity]
-
-
-def profile_batch(probes: list[Probe]) -> list[ProfileResult]:
-    """Profile a batch of requests that may span profilers and operators.
-
-    A request already in its profiler's memo counts as a hit; each distinct
-    miss counts as a run of its profiler. The misses are evaluated together:
-    on the driver, or, for ``spark``-mode profilers, in one Spark job.
-    """
-    missing = []
-    for p, op, f in probes:
-        if (op, f) in p.memo:
-            p.hits += 1
-        else:
-            missing.append((p, op, f))
-    missing = list(dict.fromkeys(missing))
-    on_driver = [m for m in missing if m[0].mode != "spark"]
-    on_spark = [m for m in missing if m[0].mode == "spark"]
-    results = [p._evaluate(op, f) for p, op, f in on_driver] + _profile_spark(on_spark)
-    for (p, op, f), r in zip(on_driver + on_spark, results):
-        p.runs += 1
-        p.memo[(op, f)] = r
-    return [p.memo[(op, f)] for p, op, f in probes]
-
-
-# -- Spark data plane ---------------------------------------------------------
-
-
-def _profile_spark(probes: list[Probe]) -> list[ProfileResult]:
-    """Evaluate ``probes`` in one ``mapInPandas`` job, results in order."""
-    if not probes:
-        return []
-    # Operators, fidelities and datasets reach the executor through the
-    # closure; only each request's index travels as a column. ``range``
-    # partitions the indices itself, so the job has no shuffle stage. One
-    # partition per core: on 4 cores the full spark-mode derivation took 26 s
-    # this way and 49 s with 16 partitions (medians of 3).
-    work = [(op, f, p.ds) for p, op, f in probes]
-
-    def run(batches: Iterable[pd.DataFrame]):
-        for pdf in batches:
-            rows = []
-            for i in pdf["id"]:
-                pr = evaluate_profile(*work[i])
-                rows.append((int(i), pr.f1, pr.speed_x))
-            yield pd.DataFrame(rows, columns=["id", "f1", "speed_x"])
-
-    n = len(work)
-    spark = probes[0][0].spark
-    out = (
-        spark.range(0, n, 1, min(n, spark.sparkContext.defaultParallelism))
-        .mapInPandas(run, schema="id long, f1 double, speed_x double")
-        .toPandas()
-        .set_index("id")
-        .sort_index()
-    )
-    return [
-        ProfileResult(f1=float(out.loc[i, "f1"]), speed_x=float(out.loc[i, "speed_x"]))
-        for i in range(n)
-    ]

@@ -17,6 +17,7 @@ A segment's frames are one numpy structured array, a float field per latent:
 from __future__ import annotations
 
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pandas as pd
@@ -51,10 +52,14 @@ def segment_frames(ds: Dataset, segment_id: int) -> np.ndarray:
 
 def sampled_frame_mask(n_frames: int, sampling) -> np.ndarray:
     """Boolean mask of frames an operator actually processes at a given
-    frame-sampling rate (every k-th frame, k = 1/sampling)."""
-    k = int(round(1.0 / float(sampling)))
-    idx = np.arange(n_frames)
-    return idx % max(1, k) == 0
+    frame-sampling rate ``s = p/q``: frame ``i`` is sampled iff
+    ``floor(i*s) > floor((i-1)*s)``, in exact integers, so frame 0 is always
+    sampled and, whenever ``n_frames * s`` is whole, that many frames are
+    (every k-th frame at ``s = 1/k``; 200 of 300 at 2/3, as the cost model
+    charges)."""
+    s = Fraction(sampling)
+    i = np.arange(n_frames, dtype=np.int64)
+    return i * s.numerator // s.denominator > (i - 1) * s.numerator // s.denominator
 
 
 def segment_count(hours: float) -> int:

@@ -68,35 +68,38 @@ class TestOverheadAccounting:
 
 
 class TestSparkDerivation:
-    def test_spark_mode_matches_local_subset(self, spark):
+    def test_spark_mode_matches_local_subset(self, spark, cfg):
         # the Spark profiling data plane must produce the identical
-        # configuration (same frames, same arithmetic, different executor)
-        opts = dict(op_names=("motion", "license"), accuracies=(0.9, 0.7))
-        a = derive_config(spark, ConfigOptions(profiler_mode="spark", **opts))
-        b = derive_config(options=ConfigOptions(profiler_mode="local", **opts))
-        assert [c.cf for c in a.consumers] == [c.cf for c in b.consumers]
-        assert [n.storage_format() for n in a.storage.nodes] == [
-            n.storage_format() for n in b.storage.nodes
+        # configuration for all 24 consumers (same frames, same arithmetic,
+        # one executor task per operator)
+        a = derive_config(spark, ConfigOptions(profiler_mode="spark"))
+        assert [(c.cf, c.speed_x) for c in a.consumers] == [
+            (c.cf, c.speed_x) for c in cfg.consumers
         ]
+        assert a.derived == cfg.derived
+        assert [n.storage_format() for n in a.storage.nodes] == [
+            n.storage_format() for n in cfg.storage.nodes
+        ]
+        assert a.profiling_runs_consumption == cfg.profiling_runs_consumption == 523
 
-    def test_one_spark_job_per_wave(self, spark):
-        # nn@0.95 and ocr@0.95 derive in 10 lockstep waves (the longer
-        # search, ocr's: 9 probes on its full-crop plane, then one quality
-        # probe); every wave's memo misses, across both profiling streams,
-        # share one shuffle-free Spark job (60 jobs one probe at a time)
+    def test_one_spark_job_per_derivation(self, spark):
+        # every operator's searches run whole inside one task of one
+        # shuffle-free job, whatever the number of consumers
         sc = spark.sparkContext
-        group = "test-one-spark-job-per-wave"
-        sc.setJobGroup(group, "nn+ocr@0.95 derivation")
-        try:
-            derive_config(
-                spark,
-                ConfigOptions(profiler_mode="spark", op_names=("nn", "ocr"), accuracies=(0.95,)),
-            )
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        # the status tracker is fed by the asynchronous listener bus
-        sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
-        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 10
+        subsets = {
+            "nn+ocr@0.95": dict(op_names=("nn", "ocr"), accuracies=(0.95,)),
+            "all 24 consumers": {},
+        }
+        for name, opts in subsets.items():
+            group = f"test-one-spark-job {name}"
+            sc.setJobGroup(group, f"{name} derivation")
+            try:
+                derive_config(spark, ConfigOptions(profiler_mode="spark", **opts))
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            # the status tracker is fed by the asynchronous listener bus
+            sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
+            assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1, name
 
 
 class TestComplexity:

@@ -7,22 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.config as config
 from repro.core.config import ConfigOptions, derive_config
-from repro.core.consumption import (
-    derive_consumption_format,
-    derive_consumption_formats,
-    exhaustive_consumption_format,
-)
+from repro.core.consumption import derive_consumption_format, exhaustive_consumption_format
 from repro.formats import CROPS, QUALITIES, RESOLUTIONS, SAMPLINGS
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
 from repro.profiler.consumption import ConsumptionProfiler
 from repro.video.datasets import DATASETS, PROFILING_DATASET
+from tests.analytic import AnalyticProfiler
 
 CASES = list(itertools.product(OPERATORS, ACCURACY_LEVELS))
+#: measured F1 (the ``local`` profiler) or the noise-free analytic surface
+PROFILERS = {"local": ConsumptionProfiler, "analytic": AnalyticProfiler}
 
 
-def profiler_for(op_name, mode):
+def profiler_for(op_name, kind):
     op = OPERATORS[op_name]
-    return ConsumptionProfiler(DATASETS[PROFILING_DATASET[op.query]], mode=mode), op
+    return PROFILERS[kind](DATASETS[PROFILING_DATASET[op.query]], mode="local"), op
 
 
 class TestStaircaseOptimality:
@@ -140,11 +139,11 @@ class TestStructure:
         assert d_nn.speed_x < d_mo.speed_x / 100
 
 
-def one_at_a_time(mode, op_names, accuracies):
+def one_at_a_time(kind, op_names, accuracies):
     """Per-consumer derivations on fresh profilers, in ``derive_config``'s
-    consumer order: the reference the lockstep waves must reproduce."""
+    consumer order: the reference ``derive_config`` must reproduce."""
     profilers = {
-        q: ConsumptionProfiler(DATASETS[PROFILING_DATASET[q]], mode=mode) for q in "AB"
+        q: PROFILERS[kind](DATASETS[PROFILING_DATASET[q]], mode="local") for q in "AB"
     }
     derived = {}
     for name in op_names:
@@ -155,37 +154,51 @@ def one_at_a_time(mode, op_names, accuracies):
     return derived, sum(p.runs for p in ps), sum(p.hits for p in ps)
 
 
-def lockstep(mode, op_names, accuracies):
-    """``derive_config``'s derivation, with the runs and hits of the
-    profilers it made."""
+def derived_with_counts(kind, op_names, accuracies, spark=None):
+    """``derive_config``'s derivation (spark mode when given a session), with
+    the runs and hits of the profilers it made."""
     made = []
 
-    class Recording(ConsumptionProfiler):
+    class Recording(PROFILERS[kind]):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
+    mode = "local" if spark is None else "spark"
     opts = ConfigOptions(profiler_mode=mode, op_names=op_names, accuracies=accuracies)
     with mock.patch.object(config, "ConsumptionProfiler", Recording):
-        cfg = derive_config(options=opts)
+        cfg = derive_config(spark, opts)
     assert len(made) == 2
     return cfg.derived, sum(p.runs for p in made), sum(p.hits for p in made)
 
 
+#: (profiler kind, operators, accuracies, runs, hits) of one-at-a-time derivation
+COUNTS = [
+    ("local", tuple(OPERATORS), ACCURACY_LEVELS, 523, 536),
+    ("analytic", tuple(OPERATORS), ACCURACY_LEVELS, 504, 569),
+    ("local", ("nn", "ocr"), (0.95,), 30, 4),
+]
+
+
 class TestLockstepWaves:
+    """``derive_config`` runs each operator's searches together, richest
+    accuracy first; it must derive, run and hit exactly as one-at-a-time
+    derivation does."""
+
+    @pytest.mark.parametrize("kind,op_names,accuracies,runs,hits", COUNTS)
+    def test_matches_one_at_a_time(self, kind, op_names, accuracies, runs, hits):
+        want = one_at_a_time(kind, op_names, accuracies)
+        assert derived_with_counts(kind, op_names, accuracies) == want
+        assert want[1:] == (runs, hits)
+
     @pytest.mark.parametrize(
-        "mode,op_names,accuracies,runs,hits",
-        [
-            ("local", tuple(OPERATORS), ACCURACY_LEVELS, 523, 536),
-            ("analytic", tuple(OPERATORS), ACCURACY_LEVELS, 504, 569),
-            # a wave loop that counted its own just-filled memo entries as hits
-            # would report 34 hits here
-            ("local", ("nn", "ocr"), (0.95,), 30, 4),
-        ],
+        "op_names,accuracies,runs,hits", [c[1:] for c in COUNTS if c[0] == "local"]
     )
-    def test_matches_one_at_a_time(self, mode, op_names, accuracies, runs, hits):
-        want = one_at_a_time(mode, op_names, accuracies)
-        assert lockstep(mode, op_names, accuracies) == want
+    def test_spark_matches_one_at_a_time(self, spark, op_names, accuracies, runs, hits):
+        # one executor task per operator: the driver folds each task's memo,
+        # runs and hits into the operator's profiler
+        want = one_at_a_time("local", op_names, accuracies)
+        assert derived_with_counts("local", op_names, accuracies, spark) == want
         assert want[1:] == (runs, hits)
 
     @given(
@@ -195,9 +208,4 @@ class TestLockstepWaves:
     @settings(max_examples=30, deadline=None)
     def test_random_subsets_match_one_at_a_time(self, op_names, accuracies):
         args = ("analytic", tuple(op_names), tuple(accuracies))
-        assert lockstep(*args) == one_at_a_time(*args)
-
-    def test_repeated_search_rejected(self):
-        p, op = profiler_for("nn", "analytic")
-        with pytest.raises(ValueError):
-            derive_consumption_formats([(p, op), (p, op)], 0.9)
+        assert derived_with_counts(*args) == one_at_a_time(*args)

@@ -1,8 +1,10 @@
 """Source hygiene: no Python file of the repository imports a name it never
-uses, and every ``repro`` module, every public name in one and every field of
+uses, every ``repro`` module, every public name in one and every field of
 its classes is used by the program (``src/repro``, ``jobs`` or
-``perfbench``), not only by the tests."""
+``perfbench``), not only by the tests, and every attribute perfbench's
+tracer patches exists."""
 import ast
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -175,3 +177,13 @@ def test_every_public_name_has_a_caller():
 
 def test_every_field_is_read():
     assert fields_never_read() == []
+
+
+def test_tracer_patch_targets_exist():
+    # perfbench's tracer swaps program attributes by name while a traced
+    # operation runs; building its patch list reads every one of them
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench/tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patches = tracing.Tracer(None)._patches()
+    assert patches and all(hasattr(owner, attr) for owner, attr, _ in patches)

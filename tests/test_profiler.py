@@ -10,6 +10,7 @@ from repro.ops.library import OPERATORS
 from repro.profiler.consumption import ConsumptionProfiler
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS
+from tests.analytic import AnalyticProfiler
 
 S = Fraction
 F1 = Fidelity("good", 360, S(1, 2), 0.75)
@@ -52,7 +53,7 @@ class TestConsumptionProfiler:
         assert rs[0] == rs[1]
 
     def test_analytic_matches_model(self):
-        p = ConsumptionProfiler(DATASETS["dashcam"], mode="analytic")
+        p = AnalyticProfiler(DATASETS["dashcam"])
         op = OPERATORS["license"]
         r = p.profile(op, F1)
         assert r.f1 == pytest.approx(op.accuracy(F1, DATASETS["dashcam"].motion))
@@ -60,12 +61,12 @@ class TestConsumptionProfiler:
 
     def test_local_close_to_analytic(self):
         pl = ConsumptionProfiler(DATASETS["jackson"], mode="local")
-        pa = ConsumptionProfiler(DATASETS["jackson"], mode="analytic")
+        pa = AnalyticProfiler(DATASETS["jackson"])
         op = OPERATORS["snn"]
         assert pl.profile(op, F1).f1 == pytest.approx(pa.profile(op, F1).f1, abs=0.08)
 
     def test_cost_is_reciprocal_speed(self):
-        p = ConsumptionProfiler(DATASETS["jackson"], mode="analytic")
+        p = AnalyticProfiler(DATASETS["jackson"])
         r = p.profile(OPERATORS["diff"], F1)
         assert r.cost == pytest.approx(1.0 / r.speed_x)
 
@@ -83,8 +84,10 @@ class TestConsumptionProfiler:
             ConsumptionProfiler(DATASETS["miami"], None, mode="spark")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ConsumptionProfiler(DATASETS["miami"], mode="gpu")
+        # ``analytic`` is a test-side profiler (tests/analytic.py), not a mode
+        for mode in ("gpu", "analytic"):
+            with pytest.raises(ValueError):
+                ConsumptionProfiler(DATASETS["miami"], mode=mode)
 
 
 class TestStorageProfiler:

@@ -14,8 +14,8 @@ from repro.core.consumption import (
     exhaustive_consumption_format,
 )
 from repro.ops.base import Operator
-from repro.profiler.consumption import ConsumptionProfiler
 from repro.video.datasets import DATASETS
+from tests.analytic import AnalyticProfiler
 
 op_params = st.fixed_dictionaries(
     {
@@ -45,8 +45,8 @@ def make_op(p):
 def test_staircase_equals_exhaustive_on_random_surfaces(params, target):
     op = make_op(params)
     ds = DATASETS["tucson"]
-    p = ConsumptionProfiler(ds, mode="analytic")
-    e = ConsumptionProfiler(ds, mode="analytic")
+    p = AnalyticProfiler(ds)
+    e = AnalyticProfiler(ds)
     d = derive_consumption_format(p, op, target)
     x = exhaustive_consumption_format(e, op, target)
     assert d.speed_x == pytest.approx(x.speed_x)

@@ -77,8 +77,10 @@ class TestSampledMask:
         assert sampled_frame_mask(300, s).sum() == expected
 
     def test_two_thirds(self):
-        # 2/3 rounds to every 2nd frame (interval round(3/2) = 2)
-        assert sampled_frame_mask(300, Fraction(2, 3)).sum() == 150
+        # frames 0, 2, 3, 5, 6, 8, ...: the 200 of 300 the cost model charges
+        mask = sampled_frame_mask(300, Fraction(2, 3))
+        assert mask.sum() == 200
+        assert list(mask[:9].nonzero()[0]) == [0, 2, 3, 5, 6, 8]
 
     def test_first_frame_always_sampled(self):
         for s in (Fraction(1, 30), Fraction(1)):
