@@ -4,6 +4,9 @@ Prints (a) every consumption format — fidelity, subscribed SF, uncoalesced
 per-second video size, consumption speed — and (b) every storage format —
 fidelity, coding, coalesced per-second size, retrieval speed — exactly the
 columns of the paper's Table 2, derived via the Spark profiling data plane.
+In spark mode a one-item Spark job runs first, so that the start of the
+Python workers is timed on its own and the derivation's wall time is the
+derivation's.
 """
 from __future__ import annotations
 
@@ -19,14 +22,18 @@ from jobs.common import Tee, spark_session
 from repro.core.config import ConfigOptions, derive_config
 from repro.core.storage import choose_coding
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
+from repro.profiler.consumption import map_in_one_job
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS, PROFILING_DATASET
 
 
 def main(spark, out=print, profiler_mode: str = "spark"):
     t0 = time.time()
+    if profiler_mode == "spark":
+        map_in_one_job(spark, abs, [0])
+    t1 = time.time()
     cfg = derive_config(spark, ConfigOptions(profiler_mode=profiler_mode))
-    elapsed = time.time() - t0
+    elapsed = time.time() - t1
     ids = cfg.storage.sf_ids()
     out("== Table 2(b): storage formats (SFs) ==")
     out(f"{'SF':5s} {'fidelity':24s} {'coding':12s} {'KB/s':>9s} {'retrieval x':>22s}")
@@ -66,6 +73,8 @@ def main(spark, out=print, profiler_mode: str = "spark"):
         f"{cfg.storage.profiling_runs} storage runs "
         f"({cfg.storage.profiling_hits} memo hits, {cfg.storage.rounds} coalescing rounds)"
     )
+    if profiler_mode == "spark":
+        out(f"Python-worker start wall time: {t1 - t0:.1f} s (one one-item Spark job)")
     out(f"derivation wall time: {elapsed:.1f} s (mode={profiler_mode})")
     return cfg
 

@@ -2,10 +2,11 @@
 
 This is VStore's ingestion data plane (paper §2.2/§5: one FFmpeg instance per
 ingested stream transcoding into every storage format), realized as a Spark
-``mapInPandas`` pass: each partition of the segment DataFrame is transcoded by
-a per-partition UDF that, for every (segment, storage format) pair, evaluates
-the codec model on the segment's content (motion) and emits one stored-version
-row with its encoded size and encode CPU cost.
+``mapInPandas`` pass: for every storage format, each partition of the segment
+DataFrame evaluates the codec model over its segments' motion as one numpy
+expression and emits one row per segment. A stored row holds its key
+(segment, SF id; the stream is the store directory) and its cost: the encoded
+size and the encode CPU spent. The SF knobs stay in the provider's ``sfs``.
 """
 from __future__ import annotations
 
@@ -18,10 +19,7 @@ from repro.codec.model import encode_cost_cores, size_kb_per_s
 from repro.formats import StorageFormat
 
 TRANSCODE_SCHEMA = (
-    "dataset string, segment_id long, start_s long, seconds long, motion double, "
-    "sf_id string, quality string, resolution long, sampling double, crop double, "
-    "speed_step string, keyframe_interval long, raw boolean, "
-    "size_kb double, ingest_core_s double"
+    "segment_id long, seconds long, sf_id string, size_kb double, ingest_core_s double"
 )
 
 
@@ -38,30 +36,23 @@ def transcode_segments(
 
     def run(batches: Iterable[pd.DataFrame]):
         for pdf in batches:
-            out = []
-            for sf_id, sf in items:
-                f, c = sf.fidelity, sf.coding
-                seg = pdf.copy()
-                seg["sf_id"] = sf_id
-                seg["quality"] = f.quality
-                seg["resolution"] = f.resolution
-                seg["sampling"] = float(f.sampling)
-                seg["crop"] = f.crop
-                seg["speed_step"] = "" if c.raw else c.speed_step
-                seg["keyframe_interval"] = 0 if c.raw else c.keyframe_interval
-                seg["raw"] = c.raw
-                seg["size_kb"] = [
-                    size_kb_per_s(f, c, m) * s
-                    for m, s in zip(seg["motion"], seg["seconds"])
-                ]
-                seg["ingest_core_s"] = [
-                    encode_cost_cores(f, c, m) * s
-                    for m, s in zip(seg["motion"], seg["seconds"])
-                ]
-                out.append(seg)
-            yield pd.concat(out, ignore_index=True)[
-                [c.strip().split(" ")[0] for c in TRANSCODE_SCHEMA.split(",")]
-            ]
+            motion, seconds = pdf["motion"].to_numpy(), pdf["seconds"].to_numpy()
+            yield pd.concat(
+                [
+                    pd.DataFrame(
+                        {
+                            "segment_id": pdf["segment_id"],
+                            "seconds": pdf["seconds"],
+                            "sf_id": sf_id,
+                            "size_kb": size_kb_per_s(sf.fidelity, sf.coding, motion) * seconds,
+                            "ingest_core_s": encode_cost_cores(sf.fidelity, sf.coding, motion)
+                            * seconds,
+                        }
+                    )
+                    for sf_id, sf in items
+                ],
+                ignore_index=True,
+            )
 
     return segments.mapInPandas(run, schema=TRANSCODE_SCHEMA)
 

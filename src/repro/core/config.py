@@ -3,12 +3,12 @@
 ``derive_config`` runs the whole pipeline the paper's Table 2 snapshot shows:
 profile the query-A operators on *jackson* and the query-B operators on
 *dashcam* (§6.1), derive one consumption format per <operator, accuracy>
-consumer with the §4.2 staircase search (each operator's searches richest
-accuracy first, so memoization helps the lower targets), then coalesce the
-storage-format set with §4.3. In ``spark`` mode every operator's searches run
-whole inside one task of one Spark job, and the driver folds each task's memo
-entries, runs and hits into the operator's profiler: it ends in the state
-``local`` mode leaves. Budgets are applied separately: ingestion (Table 3) by
+consumer with the §4.2 staircase search, then coalesce the storage-format set
+with §4.3. Each operator's searches run through one function, on a fresh
+``local`` profiler of its profiling dataset, richest accuracy first so that
+memoization helps the lower targets. ``local`` mode maps that function over
+the operators on the driver; ``spark`` mode maps it in one Spark job, one
+task per operator. Budgets are applied separately: ingestion (Table 3) by
 calling :func:`repro.core.storage.derive_storage_plan` with a budget, storage
 (§4.4) via :func:`repro.core.erosion.plan_erosion`.
 """
@@ -62,28 +62,22 @@ def derive_config(
 ) -> VStoreConfig:
     """Run the full backward derivation and return the configuration."""
     opt = options or ConfigOptions()
-    profilers = {
-        q: ConsumptionProfiler(
-            DATASETS[PROFILING_DATASET[q]], spark, mode=opt.profiler_mode
-        )
-        for q in ("A", "B")
-    }
     ops = [OPERATORS[name] for name in opt.op_names]
     accs = sorted(opt.accuracies, reverse=True)
+    work = [(DATASETS[PROFILING_DATASET[op.query]], op) for op in ops]
+    derive = partial(_derive_operator, accs)
     if opt.profiler_mode == "spark":
-        work = [(profilers[op.query].ds, op) for op in ops]
-        tasks = map_in_one_job(spark, partial(_derive_in_task, accs), work)
-        found = []
-        for op, (cfs, memo, runs, hits) in zip(ops, tasks):
-            p = profilers[op.query]
-            p.memo.update(memo)
-            p.runs += runs
-            p.hits += hits
-            found.append(cfs)
+        if spark is None:
+            raise ValueError("spark mode needs a SparkSession")
+        found = map_in_one_job(spark, derive, work)
+    elif opt.profiler_mode == "local":
+        found = [derive(item) for item in work]
     else:
-        found = [_derive_operator(profilers[op.query], op, accs) for op in ops]
+        raise ValueError(f"unknown profiler mode {opt.profiler_mode!r}")
     derived = {
-        (name, acc): d for name, cfs in zip(opt.op_names, found) for acc, d in zip(accs, cfs)
+        (name, acc): d
+        for name, (cfs, _) in zip(opt.op_names, found)
+        for acc, d in zip(accs, cfs)
     }
     consumers: list[Consumer] = []
     for name in opt.op_names:
@@ -98,7 +92,6 @@ def derive_config(
             consumers.append(
                 Consumer(op_name=name, target_acc=acc, cf=d.fidelity, speed_x=demand)
             )
-    total_runs = sum(p.runs for p in profilers.values())
 
     # Storage derivation profiles on the higher-motion profiling stream so the
     # coding choices are safe for every ingested stream (motion only shrinks
@@ -109,21 +102,16 @@ def derive_config(
         consumers=consumers,
         derived=derived,
         storage=storage,
-        profiling_runs_consumption=total_runs,
+        profiling_runs_consumption=sum(runs for _, runs in found),
     )
 
 
 def _derive_operator(
-    profiler: ConsumptionProfiler, op: Operator, accuracies: list[float]
-) -> list[DerivedCF]:
-    """One operator's staircase searches, in the order of ``accuracies``."""
-    return [derive_consumption_format(profiler, op, acc) for acc in accuracies]
-
-
-def _derive_in_task(accuracies: list[float], work: tuple[Dataset, Operator]):
-    """The spark-mode derivation task of one operator: its searches on a
-    ``local`` profiler of its profiling dataset; returns the derived CFs and
-    the profiler's memo, runs and hits."""
-    ds, op = work
+    accuracies: list[float], item: tuple[Dataset, Operator]
+) -> tuple[list[DerivedCF], int]:
+    """One operator's staircase searches, in the order of ``accuracies``, on a
+    fresh ``local`` profiler of its profiling dataset: the derived CFs and
+    the profiling runs they took."""
+    ds, op = item
     profiler = ConsumptionProfiler(ds, mode="local")
-    return _derive_operator(profiler, op, accuracies), profiler.memo, profiler.runs, profiler.hits
+    return [derive_consumption_format(profiler, op, acc) for acc in accuracies], profiler.runs

@@ -12,19 +12,18 @@ accuracy and consumption speed. Here a profiling run
 
 Two execution modes, with identical arithmetic (same frames, same results):
 
-- ``spark`` (the default; the Table 2 job and perfbench's configure workload
-  run it): a batch of profiling runs is one Spark job whose tasks generate
-  the clip and run the operator inside the executor — the data plane the
-  repro brief asks for;
-- ``local``: on the driver; used by the other jobs, by fast unit tests and,
-  inside one executor task per operator, by the spark-mode derivation
-  (``repro.core.config``).
+- ``local``: in the calling process. The §4.2 derivation
+  (``repro.core.config.derive_config``) runs each operator's searches on a
+  fresh ``local`` profiler, on the driver or inside one executor task per
+  operator; the other jobs and fast unit tests use it too;
+- ``spark`` (the default): each :meth:`ConsumptionProfiler.profile_many`
+  batch of misses is one Spark job whose tasks generate the clip and run the
+  operator inside the executor.
 
 Results are memoized per (operator, fidelity); ``runs`` counts cache misses
-(actual profiling work) and ``hits`` counts memoized reuse — the quantities
-Fig 13 reports. :func:`map_in_one_job` is the one Spark seam: a spark-mode
-:meth:`ConsumptionProfiler.profile_many` batch and the spark-mode derivation
-both go through it.
+(actual profiling work, which Fig 13 reports) and ``hits`` counts memoized
+reuse. :func:`map_in_one_job` is the one Spark seam: a spark-mode
+``profile_many`` batch and the spark-mode derivation both go through it.
 """
 from __future__ import annotations
 

@@ -2,11 +2,19 @@
 
 The paper stores 8–10 s video segments as MB-sized values in LMDB keyed by
 (stream, segment, storage format) and retrieves/deletes each independently.
-Here each stored version is a parquet row carrying the format knobs, the
-simulated on-disk size, and the ingest CPU spent — so storage/ingestion
-accounting are Spark SQL aggregations, cross-checked against DuckDB with the
-repo oracle. Ingestion itself is the per-partition ``mapInPandas`` transcode
-job from :mod:`repro.codec.transcode`.
+Here each stream is one directory of parquet files, and each stored version
+is a row of its key (segment id, seconds, SF id) and its cost: the simulated
+on-disk size and the ingest CPU spent. The format knobs live in the
+configuration, not in the rows. Storage/ingestion accounting are Spark SQL
+aggregations, cross-checked against DuckDB with the repo oracle. Ingestion
+itself is the per-partition ``mapInPandas`` transcode job from
+:mod:`repro.codec.transcode`.
+
+Erosion rewrites a stream and never removes its only copy: the live
+directory is renamed aside, the new copy renamed in, and only then is the
+aside copy deleted. A store that opens with a stream's live directory
+missing and its aside copy present (a crash between the two renames)
+restores the aside copy.
 """
 from __future__ import annotations
 
@@ -22,12 +30,20 @@ from repro.video.datasets import Dataset
 from repro.video.frames import segments_df
 
 
+#: suffix of a stream directory renamed aside while erosion swaps in its new copy
+ASIDE = ".aside"
+
+
 class SegmentStore:
     """Segment-granularity KV store over the local filesystem."""
 
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
+        for name in os.listdir(root):
+            live = os.path.join(root, name.removesuffix(ASIDE))
+            if name.endswith(ASIDE) and not os.path.exists(live):
+                os.replace(os.path.join(root, name), live)
 
     def _path(self, dataset: str) -> str:
         return os.path.join(self.root, f"stream={dataset}")
@@ -67,14 +83,14 @@ class SegmentStore:
         )
 
     def storage_kb_per_s(self, spark: SparkSession, dataset: str) -> float:
-        """Storage growth rate: stored KB per ingested video-second."""
-        df = self.load(spark, dataset)
-        kb = df.agg(F.sum("size_kb")).collect()[0][0]
-        secs = (
-            df.select("segment_id", "seconds")
-            .distinct()
-            .agg(F.sum("seconds"))
-            .collect()[0][0]
+        """Storage growth rate: stored KB per ingested video-second, in one
+        action (per-segment sums, then their totals)."""
+        kb, secs = (
+            self.load(spark, dataset)
+            .groupBy("segment_id", "seconds")
+            .agg(F.sum("size_kb").alias("kb"))
+            .agg(F.sum("kb"), F.sum("seconds"))
+            .collect()[0]
         )
         return float(kb) / float(secs)
 
@@ -96,9 +112,11 @@ class SegmentStore:
             c = (F.col("sf_id") == sf_id) & (F.col("segment_id") < cutoff)
             conds = c if conds is None else (conds | c)
         kept = df if conds is None else df.filter(~conds)
-        tmp = self._path(dataset) + ".tmp"
+        live = self._path(dataset)
+        tmp, aside = live + ".tmp", live + ASIDE
         kept.write.mode("overwrite").parquet(tmp)
-        final = self._path(dataset)
-        shutil.rmtree(final, ignore_errors=True)
-        os.replace(tmp, final)
+        shutil.rmtree(aside, ignore_errors=True)  # stale: the live copy exists
+        os.replace(live, aside)
+        os.replace(tmp, live)
+        shutil.rmtree(aside)
         return self.load(spark, dataset)

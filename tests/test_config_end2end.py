@@ -82,6 +82,13 @@ class TestSparkDerivation:
         ]
         assert a.profiling_runs_consumption == cfg.profiling_runs_consumption == 523
 
+    def test_bad_mode_raises(self):
+        # one derivation path: only the mapper differs, and it needs a session
+        with pytest.raises(ValueError, match="SparkSession"):
+            derive_config(None, ConfigOptions(profiler_mode="spark"))
+        with pytest.raises(ValueError, match="unknown profiler mode"):
+            derive_config(None, ConfigOptions(profiler_mode="gpu"))
+
     def test_one_spark_job_per_derivation(self, spark):
         # every operator's searches run whole inside one task of one
         # shuffle-free job, whatever the number of consumers

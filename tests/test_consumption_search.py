@@ -154,9 +154,9 @@ def one_at_a_time(kind, op_names, accuracies):
     return derived, sum(p.runs for p in ps), sum(p.hits for p in ps)
 
 
-def derived_with_counts(kind, op_names, accuracies, spark=None):
-    """``derive_config``'s derivation (spark mode when given a session), with
-    the runs and hits of the profilers it made."""
+def derived_with_counts(kind, op_names, accuracies):
+    """``derive_config``'s local-mode derivation, with its runs and the hits
+    of the profilers it made, one per operator."""
     made = []
 
     class Recording(PROFILERS[kind]):
@@ -164,12 +164,12 @@ def derived_with_counts(kind, op_names, accuracies, spark=None):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    mode = "local" if spark is None else "spark"
-    opts = ConfigOptions(profiler_mode=mode, op_names=op_names, accuracies=accuracies)
+    opts = ConfigOptions(profiler_mode="local", op_names=op_names, accuracies=accuracies)
     with mock.patch.object(config, "ConsumptionProfiler", Recording):
-        cfg = derive_config(spark, opts)
-    assert len(made) == 2
-    return cfg.derived, sum(p.runs for p in made), sum(p.hits for p in made)
+        cfg = derive_config(None, opts)
+    assert len(made) == len(op_names)
+    assert cfg.profiling_runs_consumption == sum(p.runs for p in made)
+    return cfg.derived, cfg.profiling_runs_consumption, sum(p.hits for p in made)
 
 
 #: (profiler kind, operators, accuracies, runs, hits) of one-at-a-time derivation
@@ -195,10 +195,12 @@ class TestLockstepWaves:
         "op_names,accuracies,runs,hits", [c[1:] for c in COUNTS if c[0] == "local"]
     )
     def test_spark_matches_one_at_a_time(self, spark, op_names, accuracies, runs, hits):
-        # one executor task per operator: the driver folds each task's memo,
-        # runs and hits into the operator's profiler
+        # one executor task per operator; the tasks' profilers stay in the
+        # executors, and only their runs come back
         want = one_at_a_time("local", op_names, accuracies)
-        assert derived_with_counts("local", op_names, accuracies, spark) == want
+        opts = ConfigOptions(profiler_mode="spark", op_names=op_names, accuracies=accuracies)
+        cfg = derive_config(spark, opts)
+        assert (cfg.derived, cfg.profiling_runs_consumption) == want[:2]
         assert want[1:] == (runs, hits)
 
     @given(

@@ -1,9 +1,11 @@
 """Per-partition transcode job and segment store (ingestion data plane)."""
+import os
 from fractions import Fraction
 
+import duckdb
 import pytest
 
-from repro.codec.model import size_kb_per_s
+from repro.codec.model import encode_cost_cores, size_kb_per_s
 from repro.codec.transcode import (
     ingest_cores_per_stream,
     storage_kb_per_s,
@@ -27,9 +29,13 @@ SFS = {
 
 
 @pytest.fixture(scope="module")
-def stored(spark):
-    segs = segments_df(spark, DATASETS["tucson"], hours=0.05)
-    return transcode_segments(segs, SFS).cache()
+def segments(spark):
+    return segments_df(spark, DATASETS["tucson"], hours=0.05).cache()
+
+
+@pytest.fixture(scope="module")
+def stored(segments):
+    return transcode_segments(segments, SFS).cache()
 
 
 class TestTranscode:
@@ -38,18 +44,16 @@ class TestTranscode:
         assert stored.count() == 18 * len(SFS)
 
     def test_schema(self, stored):
-        assert {"sf_id", "size_kb", "ingest_core_s", "raw"} <= set(stored.columns)
+        # a stored row is its key and its cost; the SF knobs live in SFS
+        assert stored.columns == ["segment_id", "seconds", "sf_id", "size_kb", "ingest_core_s"]
 
-    def test_sizes_match_model(self, stored):
-        rows = stored.collect()
-        for r in rows:
-            sf = SFS[r["sf_id"]]
-            want = size_kb_per_s(sf.fidelity, sf.coding, r["motion"]) * r["seconds"]
-            assert r["size_kb"] == pytest.approx(want, rel=1e-9)
-
-    def test_raw_flag_per_sf(self, stored):
-        flags = {r["sf_id"]: r["raw"] for r in stored.select("sf_id", "raw").distinct().collect()}
-        assert flags == {"SFg": False, "SF1": False, "SF2": True}
+    def test_sizes_match_model(self, stored, segments):
+        # each segment is charged at its own motion, bit for bit
+        motion = {r["segment_id"]: r["motion"] for r in segments.collect()}
+        for r in stored.collect():
+            sf, m = SFS[r["sf_id"]], motion[r["segment_id"]]
+            assert r["size_kb"] == size_kb_per_s(sf.fidelity, sf.coding, m) * r["seconds"]
+            assert r["ingest_core_s"] == encode_cost_cores(sf.fidelity, sf.coding, m) * r["seconds"]
 
     def test_raw_has_zero_encode_cost_rows(self, stored):
         raw_cost = (
@@ -121,6 +125,23 @@ class TestSegmentStore:
         assert kb_s["N->N"] > 1.5 * kb_s["vstore"] and kb_s["vstore"] > kb_s["1->1"]
         assert cores["N->N"] > cores["vstore"] > cores["1->1"]
 
+    def test_storage_rate_duckdb_twin(self, spark, tmp_path):
+        # the exact rate: stored KB over the seconds of the distinct segments,
+        # before and after an erosion (which keeps every segment in SFg)
+        store = SegmentStore(str(tmp_path / "store"))
+        store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
+        for _ in range(2):
+            glob = os.path.join(store._path("park"), "*.parquet")
+            with duckdb.connect() as con:
+                kb, secs = con.execute(
+                    "select (select sum(size_kb) from read_parquet($1)), "
+                    "(select sum(seconds) from (select distinct segment_id, seconds "
+                    "from read_parquet($1)))",
+                    [glob],
+                ).fetchone()
+            assert store.storage_kb_per_s(spark, "park") == pytest.approx(kb / secs, rel=1e-9)
+            store.apply_erosion(spark, "park", {"SF1": 0.5})
+
     def test_apply_erosion_deletes_fraction(self, spark, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))
         store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
@@ -136,3 +157,26 @@ class TestSegmentStore:
         df = store.load(spark, "park")
         assert df.filter("sf_id = 'SFg'").count() == 18
         assert df.filter("sf_id != 'SFg'").count() == 0
+
+    def test_apply_erosion_crash_keeps_a_copy(self, spark, tmp_path, monkeypatch):
+        # a crash between renaming the live copy aside and renaming the new
+        # copy in: a store opened afterwards restores the aside copy
+        root = str(tmp_path / "store")
+        SegmentStore(root).ingest(spark, DATASETS["park"], SFS, hours=0.05)
+        replace, calls = os.replace, []
+
+        def crash_on_second_rename(src, dst):
+            calls.append(src)
+            if len(calls) == 2:
+                raise OSError("crash between the renames")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_second_rename)
+        with pytest.raises(OSError, match="between the renames"):
+            SegmentStore(root).apply_erosion(spark, "park", {"SF1": 0.5})
+        monkeypatch.undo()
+        assert not os.path.exists(os.path.join(root, "stream=park"))
+        store = SegmentStore(root)
+        assert store.load(spark, "park").count() == 18 * len(SFS)
+        df = store.apply_erosion(spark, "park", {"SF1": 0.5})
+        assert df.filter("sf_id = 'SF1'").count() == 9 and df.count() == 18 * len(SFS) - 9
