@@ -20,7 +20,7 @@ import sys as _sys
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
 from jobs.common import Tee
-from repro.core.config import ConfigOptions, derive_config
+from repro.core.config import ConfigOptions, derive_config, storage_profiler
 from repro.core.consumption import (
     derive_consumption_format,
     exhaustive_consumption_format,
@@ -28,7 +28,6 @@ from repro.core.consumption import (
 from repro.core.storage import derive_storage_plan, enumerate_storage_plan
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS, QUERY_B
 from repro.profiler.consumption import ConsumptionProfiler
-from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS, PROFILING_DATASET
 
 
@@ -39,8 +38,8 @@ def main(spark, out=print):
     tot_s = tot_e = 0
     for name, op in OPERATORS.items():
         ds = DATASETS[PROFILING_DATASET[op.query]]
-        p = ConsumptionProfiler(ds, spark, mode="local")
-        e = ConsumptionProfiler(ds, spark, mode="local")
+        p = ConsumptionProfiler(ds, mode="local")
+        e = ConsumptionProfiler(ds, mode="local")
         for acc in sorted(ACCURACY_LEVELS, reverse=True):
             derive_consumption_format(p, op, acc)
             exhaustive_consumption_format(e, op, acc)
@@ -57,11 +56,11 @@ def main(spark, out=print):
     cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
     b_consumers = [c for c in cfg.consumers if c.op_name in QUERY_B]
     t0 = time.time()
-    sp1 = StorageProfiler(DATASETS["dashcam"])
+    sp1 = storage_profiler()
     greedy = derive_storage_plan(sp1, b_consumers)
     t_greedy = time.time() - t0
     t0 = time.time()
-    sp2 = StorageProfiler(DATASETS["dashcam"])
+    sp2 = storage_profiler()
     exact = enumerate_storage_plan(sp2, b_consumers)
     t_exact = time.time() - t0
     n_cfs = len({c.cf for c in b_consumers})

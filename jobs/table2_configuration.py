@@ -19,12 +19,10 @@ import sys as _sys
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
 from jobs.common import Tee, spark_session
-from repro.core.config import ConfigOptions, derive_config
+from repro.core.config import ConfigOptions, derive_config, storage_profiler
 from repro.core.storage import choose_coding
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
 from repro.profiler.consumption import map_in_one_job
-from repro.profiler.storage import StorageProfiler
-from repro.video.datasets import DATASETS, PROFILING_DATASET
 
 
 def main(spark, out=print, profiler_mode: str = "spark"):
@@ -54,7 +52,7 @@ def main(spark, out=print, profiler_mode: str = "spark"):
     header = f"{'F1':>5s} " + " | ".join(f"{n:^40s}" for n in OPERATORS)
     out(header)
     # uncoalesced size: what a dedicated SF for this CF alone would store
-    sprof = StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
+    sprof = storage_profiler()
     for acc in ACCURACY_LEVELS:
         cells = []
         for name, op in OPERATORS.items():

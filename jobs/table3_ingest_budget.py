@@ -15,22 +15,20 @@ import sys as _sys
 _sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
 
 from jobs.common import Tee
-from repro.core.config import ConfigOptions, derive_config
+from repro.core.config import ConfigOptions, derive_config, storage_profiler
 from repro.core.storage import derive_storage_plan
-from repro.profiler.storage import StorageProfiler
-from repro.video.datasets import DATASETS
 
 BUDGETS = (12.0, 8.0, 4.0, 3.0, 2.0, 1.0)
 
 
 def main(spark, out=print):
     cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
-    motion = DATASETS["dashcam"].motion
     out("== Table 3: ingestion-budget adaptation (profiled on dashcam) ==")
     out(f"{'budget':>7s} {'cores':>6s} {'MB/s':>6s} {'GB/day':>8s} {'#SF':>4s}  codings")
     rows = []
     for budget in BUDGETS:
-        sp = StorageProfiler(DATASETS["dashcam"])
+        sp = storage_profiler()
+        motion = sp.ds.motion
         plan = derive_storage_plan(
             sp, cfg.consumers, ingest_budget_cores=budget, motion=motion
         )

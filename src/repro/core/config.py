@@ -6,11 +6,13 @@ profile the query-A operators on *jackson* and the query-B operators on
 consumer with the §4.2 staircase search, then coalesce the storage-format set
 with §4.3. Each operator's searches run through one function, on a fresh
 ``local`` profiler of its profiling dataset, richest accuracy first so that
-memoization helps the lower targets. ``local`` mode maps that function over
-the operators on the driver; ``spark`` mode maps it in one Spark job, one
-task per operator. Budgets are applied separately: ingestion (Table 3) by
-calling :func:`repro.core.storage.derive_storage_plan` with a budget, storage
-(§4.4) via :func:`repro.core.erosion.plan_erosion`.
+memoization helps the lower targets, mapped over the operators by the
+profiling mode's :func:`repro.profiler.consumption.mapper`: on the driver
+(``local``) or in one Spark job, one task per operator (``spark``). The
+storage formats are profiled on the stream :func:`storage_profiler` names.
+Budgets are applied separately: ingestion (Table 3) by calling
+:func:`repro.core.storage.derive_storage_plan` with a budget, storage (§4.4)
+via :func:`repro.core.erosion.plan_erosion`.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from repro.core.consumption import DerivedCF, derive_consumption_format
 from repro.core.storage import Consumer, StoragePlan, derive_storage_plan
 from repro.ops.base import Operator
 from repro.ops.library import ACCURACY_LEVELS, OPERATORS
-from repro.profiler.consumption import ConsumptionProfiler, map_in_one_job
+from repro.profiler.consumption import ConsumptionProfiler, mapper
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS, PROFILING_DATASET, Dataset
 
@@ -65,15 +67,7 @@ def derive_config(
     ops = [OPERATORS[name] for name in opt.op_names]
     accs = sorted(opt.accuracies, reverse=True)
     work = [(DATASETS[PROFILING_DATASET[op.query]], op) for op in ops]
-    derive = partial(_derive_operator, accs)
-    if opt.profiler_mode == "spark":
-        if spark is None:
-            raise ValueError("spark mode needs a SparkSession")
-        found = map_in_one_job(spark, derive, work)
-    elif opt.profiler_mode == "local":
-        found = [derive(item) for item in work]
-    else:
-        raise ValueError(f"unknown profiler mode {opt.profiler_mode!r}")
+    found = mapper(spark, opt.profiler_mode)(partial(_derive_operator, accs), work)
     derived = {
         (name, acc): d
         for name, (cfs, _) in zip(opt.op_names, found)
@@ -93,17 +87,20 @@ def derive_config(
                 Consumer(op_name=name, target_acc=acc, cf=d.fidelity, speed_x=demand)
             )
 
-    # Storage derivation profiles on the higher-motion profiling stream so the
-    # coding choices are safe for every ingested stream (motion only shrinks
-    # sizes / speeds retrieval for the others).
-    sprof = StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
-    storage = derive_storage_plan(sprof, consumers)
+    storage = derive_storage_plan(storage_profiler(), consumers)
     return VStoreConfig(
         consumers=consumers,
         derived=derived,
         storage=storage,
         profiling_runs_consumption=sum(runs for _, runs in found),
     )
+
+
+def storage_profiler() -> StorageProfiler:
+    """A fresh storage profiler on the higher-motion profiling stream, where
+    coding choices are safe for every ingested stream (motion only shrinks
+    sizes and speeds retrieval for the others)."""
+    return StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
 
 
 def _derive_operator(

@@ -56,13 +56,19 @@ class Consumer:
 
 @dataclass
 class SFNode:
-    """One storage format under construction, with its subscribed consumers."""
+    """One storage format under construction: its profile and subscribed consumers."""
 
-    fidelity: Fidelity
-    coding: Coding
-    consumers: list[Consumer]
     profile: StorageProfile
+    consumers: list[Consumer]
     golden: bool = False
+
+    @property
+    def fidelity(self) -> Fidelity:
+        return self.profile.fidelity
+
+    @property
+    def coding(self) -> Coding:
+        return self.profile.coding
 
     @property
     def size_kb_per_s(self) -> float:
@@ -151,13 +157,7 @@ def _merged(sp: StorageProfiler, a: SFNode, b: SFNode) -> SFNode | None:
         prof = choose_coding(sp, f2, consumers)
     if prof is None:
         return None
-    return SFNode(
-        fidelity=f2,
-        coding=prof.coding,
-        consumers=consumers,
-        profile=prof,
-        golden=a.golden or b.golden,
-    )
+    return SFNode(prof, consumers, golden=a.golden or b.golden)
 
 
 def _by_cf(consumers: list[Consumer]) -> dict[Fidelity, list[Consumer]]:
@@ -171,7 +171,7 @@ def _by_cf(consumers: list[Consumer]) -> dict[Fidelity, list[Consumer]]:
 def _golden_node(sp: StorageProfiler, cfs) -> SFNode:
     """The golden format: knob-wise max of all CFs at the golden coding."""
     f = knobwise_max(*cfs)
-    return SFNode(f, GOLDEN_CODING, [], sp.profile(f, GOLDEN_CODING), golden=True)
+    return SFNode(sp.profile(f, GOLDEN_CODING), [], golden=True)
 
 
 def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode]:
@@ -182,7 +182,7 @@ def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode
         prof = choose_coding(sp, cf, cons)
         if prof is None:
             raise ValueError(f"no feasible coding for CF {cf.label()}")
-        nodes.append(SFNode(fidelity=cf, coding=prof.coding, consumers=cons, profile=prof))
+        nodes.append(SFNode(prof, cons))
     return nodes
 
 
@@ -202,8 +202,7 @@ def _coalesced(nodes: list[SFNode], i: int, j: int, m: SFNode) -> list[SFNode]:
 
 def _retuned(nodes: list[SFNode], idx: int, prof: StorageProfile) -> list[SFNode]:
     """``nodes`` with node ``idx`` re-coded to ``prof``."""
-    n = replace(nodes[idx], coding=prof.coding, profile=prof)
-    return nodes[:idx] + [n] + nodes[idx + 1 :]
+    return nodes[:idx] + [replace(nodes[idx], profile=prof)] + nodes[idx + 1 :]
 
 
 def derive_storage_plan(
@@ -321,7 +320,7 @@ def enumerate_storage_plan(
             if prof is None:
                 ok = False
                 break
-            nodes.append(SFNode(fidelity=f, coding=prof.coding, consumers=cons, profile=prof))
+            nodes.append(SFNode(prof, cons))
         if not ok:
             continue
         total = sum(n.size_kb_per_s for n in nodes)

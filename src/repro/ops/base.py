@@ -14,13 +14,14 @@ Each operator has
 
 Ground truth is the operator's own output at the ingestion fidelity
 (best-720p-1-100%), where the retention is 1 and the false-positive rate 0,
-mirroring the paper's ground-truth definition (§6.1).
+mirroring the paper's ground-truth definition (§6.1). It depends only on the
+operator's offset and positive rate, so :meth:`Detector.truth` gives it from
+the detector at any fidelity: one detector per profiling run suffices.
 """
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,9 +32,6 @@ QUALITY_LOSS = {"best": 0.0, "good": 0.05, "bad": 0.16, "worst": 0.30}
 
 _GOLDEN_RATIO = 0.6180339887498949
 
-#: the ingestion fidelity, where retention is 1 and the false-positive rate 0
-_GOLDEN = Fidelity("best", 720, Fraction(1), 1.0)
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -41,7 +39,6 @@ class Operator:
 
     name: str
     query: str  # "A" or "B"
-    stage: int  # position in its cascade (0 = scans everything)
     # accuracy surface parameters
     mq: float  # quality-loss multiplier
     ar: float  # resolution loss amplitude
@@ -111,16 +108,6 @@ class Operator:
             r=r,
             fp=float(np.clip(pos * (1.0 - r) / max(1.0 - pos, 1e-9), 0.0, 1.0)),
         )
-
-    def ground_truth(self, frames: np.ndarray, motion: float, event_rate: float) -> np.ndarray:
-        """Ground-truth labels of ``frames``."""
-        return self.detector(_GOLDEN, motion, event_rate).truth(frames)
-
-    def detect(
-        self, frames: np.ndarray, f: Fidelity, motion: float, event_rate: float
-    ) -> np.ndarray:
-        """Predicted labels of ``frames`` at fidelity ``f``."""
-        return self.detector(f, motion, event_rate)(frames)
 
 
 @dataclass(frozen=True)

@@ -23,37 +23,37 @@ OPERATORS: dict[str, Operator] = {
     op.name: op
     for op in (
         Operator(
-            name="diff", query="A", stage=0,
+            name="diff", query="A",
             mq=0.15, ar=0.35, pr=14.0, asamp=0.03, psamp=1.0, ac=0.02, iota=1.0,
             a=2.0e-4, gamma=1.0, b=2.5e-5,
             pos_base=0.25, pos_motion=0.50, pos_event=0.0,
         ),
         Operator(
-            name="snn", query="A", stage=1,
+            name="snn", query="A",
             mq=0.50, ar=0.30, pr=6.0, asamp=0.15, psamp=1.2, ac=0.08, iota=2.0,
             a=5.5e-4, gamma=0.8, b=1.0e-4,
             pos_base=0.20, pos_motion=0.0, pos_event=0.40,
         ),
         Operator(
-            name="nn", query="A", stage=2,
+            name="nn", query="A",
             mq=0.80, ar=0.70, pr=3.0, asamp=0.20, psamp=1.2, ac=0.20, iota=3.0,
             a=1.1e-2, gamma=0.4, b=1.0e-3,
             pos_base=0.0, pos_motion=0.0, pos_event=1.0,
         ),
         Operator(
-            name="motion", query="B", stage=0,
+            name="motion", query="B",
             mq=0.10, ar=0.03, pr=4.0, asamp=0.012, psamp=1.0, ac=0.04, iota=0.5,
             a=9.0e-4, gamma=1.0, b=3.5e-5,
             pos_base=0.10, pos_motion=0.60, pos_event=0.0,
         ),
         Operator(
-            name="license", query="B", stage=1,
+            name="license", query="B",
             mq=0.60, ar=0.45, pr=2.5, asamp=0.06, psamp=1.0, ac=0.10, iota=6.0,
             a=5.5e-3, gamma=1.0, b=2.0e-4,
             pos_base=0.08, pos_motion=0.0, pos_event=0.35,
         ),
         Operator(
-            name="ocr", query="B", stage=2,
+            name="ocr", query="B",
             mq=0.50, ar=0.55, pr=2.0, asamp=0.05, psamp=1.0, ac=0.08, iota=4.0,
             a=7.0e-3, gamma=0.7, b=5.0e-4,
             pos_base=0.0, pos_motion=0.0, pos_event=0.50,

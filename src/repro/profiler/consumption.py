@@ -5,25 +5,26 @@ The paper (§4.2) profiles each (operator, fidelity) pair by preparing a
 accuracy and consumption speed. Here a profiling run
 
 1. generates the sample clip's frames (deterministic latents),
-2. keeps the frames the fidelity's sampling rate admits,
-3. runs the operator's detector on them (shared-latent construction),
-4. scores F1 against the operator's full-fidelity output (the paper's ground
-   truth), and reads consumption speed off the calibrated cost model.
+2. runs the operator's detector at that fidelity on them (shared latents),
+3. scores F1 against the same detector's ground truth (the operator's
+   full-fidelity output, which is the same at every fidelity), and reads
+   consumption speed off the calibrated cost model.
 
-Two execution modes, with identical arithmetic (same frames, same results):
+:func:`mapper` checks a profiling mode and says how it evaluates a list of
+items, with identical arithmetic (same frames, same results):
 
 - ``local``: in the calling process. The §4.2 derivation
   (``repro.core.config.derive_config``) runs each operator's searches on a
   fresh ``local`` profiler, on the driver or inside one executor task per
   operator; the other jobs and fast unit tests use it too;
-- ``spark`` (the default): each :meth:`ConsumptionProfiler.profile_many`
-  batch of misses is one Spark job whose tasks generate the clip and run the
-  operator inside the executor.
+- ``spark`` (the default): in one Spark job (:func:`map_in_one_job`) whose
+  tasks generate the clips and run the operator inside the executors: each
+  spark-mode :meth:`ConsumptionProfiler.profile_many` batch of misses, and
+  the spark-mode derivation.
 
 Results are memoized per (operator, fidelity); ``runs`` counts cache misses
 (actual profiling work, which Fig 13 reports) and ``hits`` counts memoized
-reuse. :func:`map_in_one_job` is the one Spark seam: a spark-mode
-``profile_many`` batch and the spark-mode derivation both go through it.
+reuse.
 """
 from __future__ import annotations
 
@@ -70,10 +71,8 @@ def evaluate_profile(op: Operator, f: Fidelity, ds: Dataset) -> ProfileResult:
     different frame subsets would not be apples-to-apples.
     """
     frames = segment_frames(ds, SAMPLE_SEGMENT)
-    f1 = f1_score(
-        op.ground_truth(frames, ds.motion, ds.event_rate),
-        op.detect(frames, f, ds.motion, ds.event_rate),
-    )
+    det = op.detector(f, ds.motion, ds.event_rate)
+    f1 = f1_score(det.truth(frames), det(frames))
     return ProfileResult(f1=f1, speed_x=op.consumption_speed_x(f))
 
 
@@ -105,23 +104,28 @@ def map_in_one_job(spark: SparkSession, fn: Callable, items: list) -> list:
     return [pickle.loads(out[i]) for i in range(n)]
 
 
+def mapper(spark: SparkSession | None, mode: str) -> Callable[[Callable, list], list]:
+    """How profiling mode ``mode`` evaluates ``[fn(x) for x in items]``: in
+    the calling process (``local``) or in one Spark job (``spark``). Raises
+    ``ValueError`` for an unknown mode, or for spark mode without a session."""
+    if mode == "local":
+        return lambda fn, items: [fn(x) for x in items]
+    if mode != "spark":
+        raise ValueError(f"unknown profiler mode {mode!r}")
+    if spark is None:
+        raise ValueError("spark mode needs a SparkSession")
+    return partial(map_in_one_job, spark)
+
+
 class ConsumptionProfiler:
     """Memoizing operator profiler over one dataset's sample clips."""
 
-    def __init__(
-        self,
-        ds: Dataset,
-        spark: SparkSession | None = None,
-        *,
-        mode: str = "spark",
-    ) -> None:
-        if mode not in ("spark", "local"):
-            raise ValueError(f"unknown profiler mode {mode!r}")
-        if mode == "spark" and spark is None:
-            raise ValueError("spark mode needs a SparkSession")
+    #: one profiling run, ``(op, f, ds) -> ProfileResult``, in either mode
+    evaluate = staticmethod(evaluate_profile)
+
+    def __init__(self, ds: Dataset, spark: SparkSession | None = None, *, mode: str = "spark") -> None:
         self.ds = ds
-        self.spark = spark
-        self.mode = mode
+        self.map = mapper(spark, mode)
         self.memo: dict[tuple[Operator, Fidelity], ProfileResult] = {}
         self.runs = 0
         self.hits = 0
@@ -134,19 +138,13 @@ class ConsumptionProfiler:
         """Profile a batch of fidelities for one operator.
 
         A fidelity already in the memo counts as a hit; each distinct miss
-        counts as a run. The misses are evaluated together: on the driver,
-        or, in ``spark`` mode, in one Spark job.
+        counts as a run. The misses are evaluated together: in the calling
+        process, or, in ``spark`` mode, in one Spark job.
         """
         self.hits += sum((op, f) in self.memo for f in fs)
         missing = list(dict.fromkeys(f for f in fs if (op, f) not in self.memo))
-        if self.mode == "spark":
-            results = map_in_one_job(self.spark, partial(evaluate_profile, op, ds=self.ds), missing)
-        else:
-            results = [self._evaluate(op, f) for f in missing]
+        results = self.map(partial(self.evaluate, op, ds=self.ds), missing)
         self.runs += len(missing)
         self.memo.update(((op, f), r) for f, r in zip(missing, results))
         return [self.memo[(op, f)] for f in fs]
 
-    def _evaluate(self, op: Operator, f: Fidelity) -> ProfileResult:
-        """One profiling run on the driver (``local`` mode)."""
-        return evaluate_profile(op, f, self.ds)

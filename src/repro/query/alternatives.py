@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.codec.model import retrieval_speed_x
-from repro.core.config import VStoreConfig
+from repro.core.config import VStoreConfig, storage_profiler
 from repro.core.storage import Consumer, SFNode, initial_nodes
 from repro.formats import Fidelity, GOLDEN_CODING, StorageFormat
 from repro.ops.library import OPERATORS
-from repro.profiler.storage import StorageProfiler
-from repro.video.datasets import DATASETS, PROFILING_DATASET
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,7 @@ def one_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
 
 def n_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
     """One SF per unique CF, adequate min-size coding, no coalescing."""
-    sprof = StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
-    nodes = initial_nodes(sprof, cfg.consumers)[1:]
+    nodes = initial_nodes(storage_profiler(), cfg.consumers)[1:]
     ids = [f"SF{i:02d}" for i in range(len(nodes))]
     return _from_nodes("N->N", ids, nodes, cfg, motion)
 

@@ -5,7 +5,9 @@ The paper stores 8–10 s video segments as MB-sized values in LMDB keyed by
 Here each stream is one directory of parquet files, and each stored version
 is a row of its key (segment id, seconds, SF id) and its cost: the simulated
 on-disk size and the ingest CPU spent. The format knobs live in the
-configuration, not in the rows. Storage/ingestion accounting are Spark SQL
+configuration, not in the rows. A stream is read with the transcode job's
+declared ``TRANSCODE_SCHEMA``, so opening one runs no Spark job, and no write
+reads back what it wrote. Storage/ingestion accounting are Spark SQL
 aggregations, cross-checked against DuckDB with the repo oracle. Ingestion
 itself is the per-partition ``mapInPandas`` transcode job from
 :mod:`repro.codec.transcode`.
@@ -24,7 +26,7 @@ import shutil
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.codec.transcode import transcode_segments
+from repro.codec.transcode import TRANSCODE_SCHEMA, transcode_segments
 from repro.formats import StorageFormat
 from repro.video.datasets import Dataset
 from repro.video.frames import segments_df
@@ -57,18 +59,17 @@ class SegmentStore:
         sfs: dict[str, StorageFormat],
         *,
         hours: float = 1.0,
-    ) -> DataFrame:
+    ) -> None:
         """Transcode ``hours`` of one stream into every storage format and
-        persist the stored versions. Returns the stored DataFrame."""
+        persist the stored versions (one Spark job)."""
         segs = segments_df(spark, ds, hours=hours)
-        stored = transcode_segments(segs, sfs)
-        stored.write.mode("overwrite").parquet(self._path(ds.name))
-        return self.load(spark, ds.name)
+        transcode_segments(segs, sfs).write.mode("overwrite").parquet(self._path(ds.name))
 
     # -- access ---------------------------------------------------------------
 
     def load(self, spark: SparkSession, dataset: str) -> DataFrame:
-        return spark.read.parquet(self._path(dataset))
+        """The stored rows of one stream (no Spark job until an action)."""
+        return spark.read.schema(TRANSCODE_SCHEMA).parquet(self._path(dataset))
 
     def storage_by_sf(self, spark: SparkSession, dataset: str) -> DataFrame:
         """Total stored KB per storage format (oracle-checkable)."""
@@ -101,10 +102,11 @@ class SegmentStore:
         spark: SparkSession,
         dataset: str,
         deleted_fracs: dict[str, float],
-    ) -> DataFrame:
+    ) -> None:
         """Delete the given fraction of each SF's segments (lowest segment ids
-        first, deterministically) and rewrite the stream. Returns the new DF."""
+        first, deterministically) and rewrite the stream."""
         df = self.load(spark, dataset)
+        # the segment count is stored nowhere but in the rows
         n_seg = df.select("segment_id").distinct().count()
         conds = None
         for sf_id, frac in deleted_fracs.items():
@@ -119,4 +121,3 @@ class SegmentStore:
         os.replace(live, aside)
         os.replace(tmp, live)
         shutil.rmtree(aside)
-        return self.load(spark, dataset)

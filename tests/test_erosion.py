@@ -20,14 +20,7 @@ DASH = DATASETS["dashcam"]
 
 
 def node(f, coding, consumers=(), golden=False):
-    sp = StorageProfiler(DASH)
-    return SFNode(
-        fidelity=f,
-        coding=coding,
-        consumers=list(consumers),
-        profile=sp.profile(f, coding),
-        golden=golden,
-    )
+    return SFNode(StorageProfiler(DASH).profile(f, coding), list(consumers), golden=golden)
 
 
 @pytest.fixture(scope="module")

@@ -57,10 +57,6 @@ class TestLibrary:
     def test_lookup(self):
         assert OPERATORS["nn"].query == "A"
 
-    def test_stage_order(self):
-        for q in (QUERY_A, QUERY_B):
-            assert [OPERATORS[n].stage for n in q] == [0, 1, 2]
-
 
 class TestO1MonotonicAccuracy:
     @pytest.mark.parametrize(
@@ -162,7 +158,35 @@ class TestInteraction:
         assert op.accuracy(f, 0.85) < op.accuracy(f, 0.15)
 
 
+#: the ingestion fidelity: the operator's output here is its ground truth
+GOLDEN = Fidelity("best", 720, S(1), 1.0)
+
+
+def ground_truth(op, ds, frames):
+    """The operator's full-fidelity output on ``frames`` (§6.1)."""
+    return op.detector(GOLDEN, ds.motion, ds.event_rate).truth(frames)
+
+
+def detect(op, ds, frames, f):
+    """The operator's labels of ``frames`` at fidelity ``f``."""
+    return op.detector(f, ds.motion, ds.event_rate)(frames)
+
+
 class TestDetection:
+    @pytest.mark.parametrize("op_name", OPS)
+    def test_truth_is_the_same_at_every_fidelity(self, op_name):
+        # what lets one detector per profiling run score against its own truth
+        op = OPERATORS[op_name]
+        ds = ds_of(op)
+        frames = segment_frames(ds, 0)
+        gt = ground_truth(op, ds, frames)
+        for f in (
+            Fidelity("best", 540, S(1), 1.0),
+            Fidelity("bad", 200, S(1, 6), 0.75),
+            Fidelity("worst", 60, S(1, 30), 0.5),
+        ):
+            assert np.array_equal(op.detector(f, ds.motion, ds.event_rate).truth(frames), gt)
+
     @pytest.mark.parametrize("op_name", OPS)
     def test_nested_detection_sets(self, op_name):
         # richer fidelity => superset of true positives, subset of false
@@ -170,9 +194,9 @@ class TestDetection:
         op = OPERATORS[op_name]
         ds = ds_of(op)
         frames = segment_frames(ds, 0)
-        gt = op.ground_truth(frames, ds.motion, ds.event_rate)
-        poor = op.detect(frames, Fidelity("bad", 200, S(1, 6), 0.75), ds.motion, ds.event_rate)
-        rich = op.detect(frames, Fidelity("best", 540, S(1), 1.0), ds.motion, ds.event_rate)
+        gt = ground_truth(op, ds, frames)
+        poor = detect(op, ds, frames, Fidelity("bad", 200, S(1, 6), 0.75))
+        rich = detect(op, ds, frames, Fidelity("best", 540, S(1), 1.0))
         assert np.all(~(poor & gt) | (rich & gt) | ~gt)  # TP(poor) ⊆ TP(rich)
         assert np.all(~(rich & ~gt) | (poor & ~gt) | gt)  # FP(rich) ⊆ FP(poor)
 
@@ -181,9 +205,7 @@ class TestDetection:
         op = OPERATORS[op_name]
         ds = ds_of(op)
         frames = segment_frames(ds, 1)
-        gt = op.ground_truth(frames, ds.motion, ds.event_rate)
-        pred = op.detect(frames, Fidelity("best", 720, S(1), 1.0), ds.motion, ds.event_rate)
-        assert np.array_equal(gt, pred)
+        assert np.array_equal(ground_truth(op, ds, frames), detect(op, ds, frames, GOLDEN))
 
     @pytest.mark.parametrize("op_name", OPS)
     def test_measured_f1_close_to_analytic(self, op_name):
@@ -191,15 +213,15 @@ class TestDetection:
         ds = ds_of(op)
         frames = segment_frames(ds, 2)
         f = Fidelity("good", 400, S(1, 2), 1.0)
-        gt = op.ground_truth(frames, ds.motion, ds.event_rate)
-        pred = op.detect(frames, f, ds.motion, ds.event_rate)
+        gt = ground_truth(op, ds, frames)
+        pred = detect(op, ds, frames, f)
         assert f1_score(gt, pred) == pytest.approx(op.accuracy(f, ds.motion), abs=0.08)
 
     def test_ground_truth_rate_close_to_model(self):
         op = OPERATORS["diff"]
         ds = ds_of(op)
         frames = segment_frames(ds, 3)
-        rate = op.ground_truth(frames, ds.motion, ds.event_rate).mean()
+        rate = ground_truth(op, ds, frames).mean()
         assert rate == pytest.approx(op.positive_rate(ds.motion, ds.event_rate), abs=0.08)
 
     def test_positive_rate_clipped(self):

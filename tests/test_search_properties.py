@@ -35,7 +35,7 @@ op_params = st.fixed_dictionaries(
 
 def make_op(p):
     return Operator(
-        name="rand", query="A", stage=0,
+        name="rand", query="A",
         pos_base=0.3, pos_motion=0.0, pos_event=0.0, **p,
     )
 

@@ -90,8 +90,8 @@ class TestTranscode:
 class TestSegmentStore:
     def test_ingest_and_load(self, spark, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))
-        df = store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
-        assert df.count() == 18 * len(SFS)
+        store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
+        assert store.load(spark, "park").count() == 18 * len(SFS)
 
     def test_storage_by_sf_oracle(self, spark, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))
@@ -119,7 +119,8 @@ class TestSegmentStore:
         ds = DATASETS["dashcam"]
         kb_s, cores = {}, {}
         for kind in ("vstore", "1->1", "N->N"):
-            df = store.ingest(spark, ds, make_provider(kind, cfg, ds.motion).sfs, hours=0.05)
+            store.ingest(spark, ds, make_provider(kind, cfg, ds.motion).sfs, hours=0.05)
+            df = store.load(spark, ds.name)
             kb_s[kind] = store.storage_kb_per_s(spark, ds.name)
             cores[kind] = df.agg({"ingest_core_s": "sum"}).collect()[0][0] / (0.05 * 3600)
         assert kb_s["N->N"] > 1.5 * kb_s["vstore"] and kb_s["vstore"] > kb_s["1->1"]
@@ -178,5 +179,6 @@ class TestSegmentStore:
         assert not os.path.exists(os.path.join(root, "stream=park"))
         store = SegmentStore(root)
         assert store.load(spark, "park").count() == 18 * len(SFS)
-        df = store.apply_erosion(spark, "park", {"SF1": 0.5})
+        store.apply_erosion(spark, "park", {"SF1": 0.5})
+        df = store.load(spark, "park")
         assert df.filter("sf_id = 'SF1'").count() == 9 and df.count() == 18 * len(SFS) - 9
