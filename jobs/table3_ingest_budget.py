@@ -23,21 +23,20 @@ BUDGETS = (12.0, 8.0, 4.0, 3.0, 2.0, 1.0)
 
 def main(spark, out=print):
     cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
-    out("== Table 3: ingestion-budget adaptation (profiled on dashcam) ==")
+    ds = storage_profiler().ds
+    out(f"== Table 3: ingestion-budget adaptation (profiled on {ds.name}) ==")
     out(f"{'budget':>7s} {'cores':>6s} {'MB/s':>6s} {'GB/day':>8s} {'#SF':>4s}  codings")
     rows = []
     for budget in BUDGETS:
-        sp = storage_profiler()
-        motion = sp.ds.motion
         plan = derive_storage_plan(
-            sp, cfg.consumers, ingest_budget_cores=budget, motion=motion
+            storage_profiler(), cfg.consumers, ingest_budget_cores=budget, motion=ds.motion
         )
         mbs = plan.storage_kb_per_s() / 1024
         codings = ", ".join(
             f"{sf_id}={n.coding.label()}" for sf_id, n in zip(plan.sf_ids(), plan.nodes)
         )
         out(
-            f"{budget:7.0f} {plan.ingest_cores(motion):6.2f} {mbs:6.2f} "
+            f"{budget:7.0f} {plan.ingest_cores(ds.motion):6.2f} {mbs:6.2f} "
             f"{mbs * 86400 / 1024:8.1f} {len(plan.nodes):4d}  {codings}"
         )
         rows.append((budget, plan))

@@ -2,14 +2,16 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.codec.model import raw_retrieval_speed_x, retrieval_speed_x, size_kb_per_s
 from repro.formats import Coding, Fidelity, RAW, SAMPLINGS, StorageFormat, coding_space
 from repro.ops.library import OPERATORS
-from repro.profiler.consumption import ConsumptionProfiler
+from repro.profiler.consumption import SAMPLE_SEGMENT, ConsumptionProfiler, _sample_clip
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS
+from repro.video.frames import segment_frames
 from tests.analytic import AnalyticProfiler
 
 S = Fraction
@@ -64,6 +66,14 @@ class TestConsumptionProfiler:
         pa = AnalyticProfiler(DATASETS["jackson"])
         op = OPERATORS["snn"]
         assert pl.profile(op, F1).f1 == pytest.approx(pa.profile(op, F1).f1, abs=0.08)
+
+    def test_sample_clip_is_shared_and_read_only(self):
+        ds = DATASETS["jackson"]
+        clip = _sample_clip(ds)
+        assert _sample_clip(ds) is clip
+        assert np.array_equal(clip, segment_frames(ds, SAMPLE_SEGMENT))
+        with pytest.raises(ValueError):
+            clip["u"][0] = 0.0
 
     def test_cost_is_reciprocal_speed(self):
         p = AnalyticProfiler(DATASETS["jackson"])
