@@ -31,8 +31,10 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
+import numpy as np
+
 from repro.codec.model import encode_cost_cores
-from repro.formats import Coding, Fidelity, GOLDEN_CODING, RAW, StorageFormat, cheaper_coding, coding_space, knobwise_max
+from repro.formats import Coding, Fidelity, GOLDEN_CODING, RAW, StorageFormat, cheaper_coding, knobwise_max
 from repro.profiler.storage import StorageProfile, StorageProfiler
 
 
@@ -123,15 +125,24 @@ def _feasible(prof: StorageProfile, consumers: list[Consumer]) -> bool:
 def choose_coding(
     sp: StorageProfiler, fidelity: Fidelity, consumers: list[Consumer]
 ) -> StorageProfile | None:
-    """Min-storage coding for ``fidelity`` that keeps R2 for ``consumers``;
-    falls back to RAW; None if even RAW is too slow (coalesce infeasible)."""
-    best: StorageProfile | None = None
-    # size first: R2 is checked only for a coding that would be the new best
-    for prof in sp.profiles(fidelity, coding_space()):
-        if (best is None or prof.size_kb_per_s < best.size_kb_per_s) and _feasible(prof, consumers):
-            best = prof
-    if best is not None:
-        return best
+    """Min-storage coding for ``fidelity`` that keeps R2 for ``consumers``
+    (the first in coding order among equal sizes); falls back to RAW; None
+    if even RAW is too slow (coalesce infeasible).
+
+    R2 is tested once per sampling rate, not once per coding and consumer:
+    the consumers fold into the fastest speed each rate needs, and the
+    fidelity's size-sorted coding row is filtered by one vector comparison
+    per rate; the first survivor is the choice."""
+    need: dict[float, float] = {}
+    for c in consumers:
+        need[c.rate] = max(need.get(c.rate, c.speed_x), c.speed_x)
+    row = sp.coding_row(fidelity)
+    ok = np.ones(len(row.by_size), dtype=bool)
+    for rate, speed in need.items():
+        ok &= row.speeds[rate] >= speed
+    first = int(ok.argmax())  # 0 when nothing is feasible
+    if ok[first]:
+        return row.by_size[first]
     raw = sp.profile(fidelity, RAW)
     return raw if _feasible(raw, consumers) else None
 

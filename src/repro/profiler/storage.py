@@ -6,19 +6,26 @@ profiling run evaluates the codec model (:mod:`repro.codec.model`) on the
 profiling dataset's content — its size and its retrieval speed for each of
 the five legal consumer sampling rates — and the profiler is a memo over those
 results, keyed by fidelity and then by coding, so one fidelity lookup serves a
-whole row of codings (the §4.3 coding choice tries all 25). The run/hit
-counters count per (fidelity, coding) and feed the §6.4 overhead accounting
-(the paper reports 475 profiled of 15K possible, 92% of examined formats
-memoized).
+whole row of codings. The §4.3 coding choice reads a fidelity's 25 encoded
+codings as a :class:`CodingRow`, built once per fidelity: the profiles sorted
+by size, and per sampling rate a numpy vector of their retrieval speeds, so R2
+is one vector comparison per rate. The run/hit counters count per (fidelity,
+coding), a row lookup included, and feed the §6.4 overhead accounting (the
+paper reports 475 profiled of 15K possible, 92% of examined formats memoized).
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.codec.model import retrieval_speed_x, size_kb_per_s
-from repro.formats import SAMPLINGS, Coding, Fidelity, StorageFormat
+from repro.formats import SAMPLINGS, Coding, Fidelity, StorageFormat, coding_space
 from repro.video.datasets import Dataset
+
+#: (``float(s)``, ``s``) for each legal consumer sampling rate
+_RATES = tuple((float(s), s) for s in SAMPLINGS)
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,16 @@ class StorageProfile:
     speed_by_sampling: dict[float, float] = field(compare=False, repr=False)
 
 
+@dataclass(frozen=True)
+class CodingRow:
+    """A fidelity's 25 encoded profiles, sorted stably by size (so coding
+    order breaks ties), and per rate the vector of their retrieval speeds."""
+
+    by_size: tuple[StorageProfile, ...]
+    #: ``speeds[rate][i]`` is ``by_size[i].speed_by_sampling[rate]``
+    speeds: dict[float, np.ndarray]
+
+
 class StorageProfiler:
     """Memoizing storage-format profiler over one dataset's sample segment."""
 
@@ -40,6 +57,7 @@ class StorageProfiler:
         self.ds = ds
         #: memo[fidelity][coding]
         self.memo: dict[Fidelity, dict[Coding, StorageProfile]] = {}
+        self.rows: dict[Fidelity, CodingRow] = {}
         self.runs = 0  # actual profiling work (cache misses)
         self.hits = 0  # memoized reuse
 
@@ -61,13 +79,24 @@ class StorageProfiler:
             out.append(prof)
         return out
 
+    def coding_row(self, f: Fidelity) -> CodingRow:
+        """``f``'s encoded codings as a :class:`CodingRow`; counts like
+        ``profiles(f, coding_space())``: the first lookup runs or hits each
+        coding, every later one is 25 hits."""
+        row = self.rows.get(f)
+        if row is not None:
+            self.hits += len(row.by_size)
+            return row
+        by_size = tuple(sorted(self.profiles(f, coding_space()), key=lambda p: p.size_kb_per_s))
+        speeds = {r: np.array([p.speed_by_sampling[r] for p in by_size]) for r, _ in _RATES}
+        row = self.rows[f] = CodingRow(by_size, speeds)
+        return row
+
     def _run(self, f: Fidelity, c: Coding) -> StorageProfile:
         sf, motion = StorageFormat(f, c), self.ds.motion
         return StorageProfile(
             fidelity=f,
             coding=c,
             size_kb_per_s=size_kb_per_s(f, c, motion),
-            speed_by_sampling={
-                float(s): retrieval_speed_x(sf, s, motion) for s in SAMPLINGS
-            },
+            speed_by_sampling={r: retrieval_speed_x(sf, s, motion) for r, s in _RATES},
         )

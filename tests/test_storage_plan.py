@@ -211,3 +211,34 @@ class TestBudgetAdaptation:
         )
         assert plan.budget_moves, "a 6-core budget requires adaptation"
         assert plan.budget_moves[0].startswith("speedup")
+
+
+class TestDerivationCounters:
+    """The §6.4 / Table 2 / Fig 13 bookkeeping of the 24-consumer plan and of
+    every Table 3 budget: (profiling runs, profiling hits, pairs examined,
+    rounds, budget moves). A faster coding choice or pair scan must leave
+    each count exactly as it is."""
+
+    @pytest.mark.parametrize(
+        "budget, counts",
+        [
+            (None, (672, 24676, 1120, 13, 0)),
+            (12.0, (672, 24676, 1120, 13, 0)),
+            (8.0, (672, 24945, 1120, 14, 1)),
+            (4.0, (672, 24945, 1120, 14, 1)),
+            (3.0, (672, 25214, 1120, 15, 2)),
+            (2.0, (672, 25214, 1120, 15, 2)),
+            (1.0, (672, 25913, 1120, 18, 5)),
+        ],
+    )
+    def test_counts_pinned(self, full_consumers, budget, counts):
+        plan = derive_storage_plan(
+            StorageProfiler(DASH), full_consumers, ingest_budget_cores=budget, motion=DASH.motion
+        )
+        assert (
+            plan.profiling_runs,
+            plan.profiling_hits,
+            plan.pairs_examined,
+            plan.rounds,
+            len(plan.budget_moves),
+        ) == counts
