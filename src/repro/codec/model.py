@@ -70,17 +70,17 @@ def _motion_factor(motion: float) -> float:
     return 0.5 + 1.7 * motion
 
 
-def _sampling_size_factor(s: Fraction | float) -> float:
+def _sampling_size_factor(s: float) -> float:
     """Temporal subsampling shrinks streams sublinearly (less inter-frame
     redundancy left to exploit): s^0.45."""
-    return float(s) ** 0.45
+    return s ** 0.45
 
 
 # ---- sizes ------------------------------------------------------------------
 
 def raw_size_kb_per_s(f: Fidelity) -> float:
     """On-disk KB per video-second when storing raw frames (coding bypass)."""
-    frames = FPS * float(f.sampling)
+    frames = FPS * f.rate
     return frames * pixels(f) * RAW_BYTES_PER_PIXEL / 1024.0
 
 
@@ -92,7 +92,7 @@ def encoded_size_kb_per_s(f: Fidelity, c: Coding, motion: float) -> float:
         * (_motion_factor(motion) / _motion_factor(0.3))
         * QUALITY_SIZE[f.quality]
         * pixel_ratio(f) ** 0.8
-        * _sampling_size_factor(f.sampling)
+        * _sampling_size_factor(f.rate)
         * SPEED_SIZE[c.speed_step]
         * _kfi_size(c.keyframe_interval)
     )
@@ -111,11 +111,11 @@ def encode_cost_cores(f: Fidelity, c: Coding, motion: float) -> float:
     RAW bypass skips the encoder; a small resize/copy cost remains.
     """
     if c.raw:
-        return 0.01 * pixel_ratio(f) * float(f.sampling)
+        return 0.01 * pixel_ratio(f) * f.rate
     return (
         ENC_CORES_720_FASTEST
         * pixel_ratio(f) ** 0.9
-        * float(f.sampling)
+        * f.rate
         * QUALITY_ENC[f.quality]
         * SPEED_ENC_COST[c.speed_step]
         * (_motion_factor(motion) / _motion_factor(0.3))
@@ -153,7 +153,7 @@ def decode_speed_x(f: Fidelity, c: Coding, consumer_sampling: Fraction | float, 
 def raw_retrieval_speed_x(f: Fidelity, consumer_sampling: Fraction | float) -> float:
     """Disk-bound retrieval speed (x-realtime) for raw storage: frames are
     individually addressable, so only the sampled fraction is read."""
-    stored = float(f.sampling)
+    stored = f.rate
     wanted = min(float(consumer_sampling), stored)
     kb = raw_size_kb_per_s(f) * (wanted / stored)
     return DISK_KB_PER_S / max(kb, 1e-9)

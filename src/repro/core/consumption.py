@@ -105,7 +105,7 @@ def derive_consumption_format(
     )
     f_best, r_best = min(
         boundary,
-        key=lambda t: (t[1].cost, t[0].resolution, float(t[0].sampling), t[0].crop),
+        key=lambda t: (t[1].cost, t[0].resolution, t[0].rate, t[0].crop),
     )
 
     # Quality post-pass: lowering quality keeps cost unchanged (O2) but cuts
@@ -136,9 +136,9 @@ def exhaustive_consumption_format(
         adequate,
         key=lambda t: (
             t[0],
-            t[1].quality_idx,
+            t[1].idx[0],
             t[1].resolution,
-            float(t[1].sampling),
+            t[1].rate,
             t[1].crop,
         ),
     )

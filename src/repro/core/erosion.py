@@ -15,7 +15,9 @@ consumers' relative speeds. The planner repeatedly deletes a small quantum
 from whichever erodible format keeps that minimum highest (the fair-scheduler
 analogue of the paper). That step depends only on what is already deleted —
 not on the age or on k — so the deletion states form one *trajectory*, from
-nothing deleted to every erodible format gone, built once per plan. Ages
+nothing deleted to every erodible format gone, built once per plan. A trial
+deletion from one format re-scores only the consumers whose fallback chain
+passes through it; every other consumer keeps its relative speed. Ages
 carry their state forward: for a given k, each age advances along the
 trajectory until its power-law target is met. The decay factor k is the
 smallest (binary search) for which the lifespan storage cost fits the budget.
@@ -133,9 +135,18 @@ def _trajectory(plan: StoragePlan) -> _Trajectory:
     def storage(deleted: dict[int, float]) -> float:
         return sum(n.size_kb_per_s * (1.0 - deleted.get(i, 0.0)) for i, n in enumerate(nodes))
 
+    pairs = list(assignment.items())
+    # through[i]: the consumers (indices into pairs) whose fallback chain passes i
+    through: dict[int, list[int]] = {i: [] for i in erodible}
+    for k, (_, own) in enumerate(pairs):
+        i = own
+        while i:  # golden (0) is never eroded
+            through[i].append(k)
+            i = parent[i]
+
     deleted: dict[int, float] = {i: 0.0 for i in erodible}
-    t = _Trajectory(p_min, [deleted], [overall_speed(nodes, assignment, parent, deleted)],
-                    [storage(deleted)])
+    speeds = [relative_speed(c, own, nodes, parent, deleted) for c, own in pairs]
+    t = _Trajectory(p_min, [deleted], [min(speeds)], [storage(deleted)])
     while True:
         best = None
         for i in erodible:
@@ -143,12 +154,15 @@ def _trajectory(plan: StoragePlan) -> _Trajectory:
                 continue
             trial = dict(deleted)
             trial[i] = min(1.0, trial[i] + QUANTUM)
-            ov = overall_speed(nodes, assignment, parent, trial)
+            trial_speeds = speeds.copy()
+            for k in through[i]:
+                trial_speeds[k] = relative_speed(*pairs[k], nodes, parent, trial)
+            ov = min(trial_speeds)
             if best is None or ov > best[0]:
-                best = (ov, trial)
+                best = (ov, trial, trial_speeds)
         if best is None:
             return t  # everything erodible is gone
-        ov, deleted = best
+        ov, deleted, speeds = best
         t.deleted.append(deleted)
         t.overall.append(ov)
         t.storage_kb_s.append(storage(deleted))

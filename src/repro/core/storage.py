@@ -46,11 +46,6 @@ class Consumer:
     target_acc: float
     cf: Fidelity
     speed_x: float
-    #: ``float(cf.sampling)``, the key of ``StorageProfile.speed_by_sampling``
-    rate: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", float(self.cf.sampling))
 
     def label(self) -> str:
         return f"{self.op_name}@{self.target_acc}"
@@ -77,7 +72,7 @@ class SFNode:
         return self.profile.size_kb_per_s
 
     def retrieval_speed_for(self, consumer: Consumer) -> float:
-        return self.profile.speed_by_sampling[consumer.rate]
+        return self.profile.speed_by_sampling[consumer.cf.rate]
 
     def storage_format(self) -> StorageFormat:
         return StorageFormat(self.fidelity, self.coding)
@@ -119,7 +114,7 @@ class StoragePlan:
 def _feasible(prof: StorageProfile, consumers: list[Consumer]) -> bool:
     """R2: retrieval from this profile outruns every consumer."""
     speeds = prof.speed_by_sampling
-    return all(speeds[c.rate] >= c.speed_x for c in consumers)
+    return all(speeds[c.cf.rate] >= c.speed_x for c in consumers)
 
 
 def choose_coding(
@@ -135,7 +130,7 @@ def choose_coding(
     per rate; the first survivor is the choice."""
     need: dict[float, float] = {}
     for c in consumers:
-        need[c.rate] = max(need.get(c.rate, c.speed_x), c.speed_x)
+        need[c.cf.rate] = max(need.get(c.cf.rate, c.speed_x), c.speed_x)
     row = sp.coding_row(fidelity)
     ok = np.ones(len(row.by_size), dtype=bool)
     for rate, speed in need.items():
@@ -197,12 +192,24 @@ def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode
     return nodes
 
 
-def _coalesces(sp: StorageProfiler, nodes: list[SFNode]):
-    """Every feasible pairwise coalesce of ``nodes`` as (i, j, merged, Δstorage)."""
+def _coalesces(sp: StorageProfiler, nodes: list[SFNode], memo: dict):
+    """Every feasible pairwise coalesce of ``nodes`` as (i, j, merged, Δstorage).
+
+    No node changes inside a derivation (a retune makes a new node), so
+    ``memo`` maps an ordered pair's ids to (a, b, merge, profiler lookups),
+    holding a and b to keep their ids unique: each pair is merged once, and a
+    replay counts its first merge's lookups as hits (see StorageProfiler)."""
     for i, j in itertools.combinations(range(len(nodes)), 2):
-        m = _merged(sp, nodes[i], nodes[j])
+        a, b = nodes[i], nodes[j]
+        hit = memo.get((id(a), id(b)))
+        if hit is None:
+            lookups = sp.runs + sp.hits
+            hit = memo[id(a), id(b)] = (a, b, _merged(sp, a, b), sp.runs + sp.hits - lookups)
+        else:
+            sp.hits += hit[3]
+        m = hit[2]
         if m is not None:
-            yield i, j, m, m.size_kb_per_s - nodes[i].size_kb_per_s - nodes[j].size_kb_per_s
+            yield i, j, m, m.size_kb_per_s - a.size_kb_per_s - b.size_kb_per_s
 
 
 def _coalesced(nodes: list[SFNode], i: int, j: int, m: SFNode) -> list[SFNode]:
@@ -229,13 +236,14 @@ def derive_storage_plan(
         raise ValueError("budget adaptation needs the stream's motion")
     runs0, hits0 = sp.runs, sp.hits
     plan = StoragePlan(nodes=initial_nodes(sp, consumers))
+    merges: dict = {}  # the pair memo of _coalesces, for this derivation only
 
     # Phase 1: coalesce while storage cost does not increase; ties go to the
     # last pair examined.
     while True:
         plan.pairs_examined += math.comb(len(plan.nodes), 2)
         best_delta, best = 0.0, None
-        for i, j, m, delta in _coalesces(sp, plan.nodes):
+        for i, j, m, delta in _coalesces(sp, plan.nodes, merges):
             if delta <= best_delta + 1e-12:
                 best_delta, best = delta, (i, j, m)
         if best is None:
@@ -245,7 +253,7 @@ def derive_storage_plan(
 
     # Phase 2: respect the ingestion budget (Table 3).
     if ingest_budget_cores is not None:
-        _adapt_to_budget(sp, plan, ingest_budget_cores, motion)
+        _adapt_to_budget(sp, plan, ingest_budget_cores, motion, merges)
 
     plan.profiling_runs = sp.runs - runs0
     plan.profiling_hits = sp.hits - hits0
@@ -253,7 +261,7 @@ def derive_storage_plan(
 
 
 def _adapt_to_budget(
-    sp: StorageProfiler, plan: StoragePlan, budget: float, motion: float
+    sp: StorageProfiler, plan: StoragePlan, budget: float, motion: float, merges: dict
 ) -> None:
     """Greedy: apply the ingest-reducing move with the least storage growth
     (first minimum of (Δstorage, Δingest)) until the cost fits; moves are
@@ -282,7 +290,7 @@ def _adapt_to_budget(
                 if d_ing < 0:
                     moves.append((prof.size_kb_per_s - n.size_kb_per_s, d_ing, f"{kind}:{idx}",
                                   partial(_retuned, nodes, idx, prof)))
-        for i, j, m, d_sto in _coalesces(sp, nodes):
+        for i, j, m, d_sto in _coalesces(sp, nodes, merges):
             d_ing = cost(m) - cost(nodes[i]) - cost(nodes[j])
             if d_ing < 0:
                 moves.append((d_sto, d_ing, f"coalesce:{i},{j}", partial(_coalesced, nodes, i, j, m)))
@@ -314,28 +322,37 @@ def enumerate_storage_plan(
     sp: StorageProfiler, consumers: list[Consumer]
 ) -> StoragePlan:
     """Try every partition of the CF set into SF groups; keep the cheapest
-    feasible plan (golden always included). Exponential — validation only."""
+    feasible plan (golden always included). Exponential — validation only.
+
+    Each distinct group is evaluated once: a node, a merge into golden (a
+    golden node of the group's consumers) or None if infeasible."""
     by_cf = _by_cf(consumers)
-    best_nodes, best_cost = None, float("inf")
-    for part in _partitions(list(by_cf)):
-        nodes = [_golden_node(sp, by_cf)]
-        ok = True
-        for group in part:
-            f = knobwise_max(*group)
-            cons = [c for cf in group for c in by_cf[cf]]
-            # merge into the golden node if its coding stays feasible
-            if f == nodes[0].fidelity and _feasible(nodes[0].profile, cons):
-                nodes[0].consumers.extend(cons)
-                continue
-            prof = choose_coding(sp, f, cons)
-            if prof is None:
-                ok = False
+    cfs = list(by_cf)
+    golden = _golden_node(sp, by_cf)
+    outcomes: dict[tuple[int, ...], SFNode | None] = {}
+
+    def outcome(group: tuple[int, ...]) -> SFNode | None:
+        f = knobwise_max(*(cfs[k] for k in group))
+        cons = [c for k in group for c in by_cf[cfs[k]]]
+        # merge into the golden node if its coding stays feasible
+        if f == golden.fidelity and _feasible(golden.profile, cons):
+            return SFNode(golden.profile, cons, golden=True)
+        prof = choose_coding(sp, f, cons)
+        return None if prof is None else SFNode(prof, cons)
+
+    best, best_cost = None, float("inf")
+    for part in _partitions(list(range(len(cfs)))):
+        groups = []
+        for group in map(tuple, part):
+            if group not in outcomes:
+                outcomes[group] = outcome(group)
+            if outcomes[group] is None:
                 break
-            nodes.append(SFNode(prof, cons))
-        if not ok:
-            continue
-        total = sum(n.size_kb_per_s for n in nodes)
-        if total < best_cost - 1e-12:
-            best_cost, best_nodes = total, nodes
-    assert best_nodes is not None
-    return StoragePlan(nodes=best_nodes)
+            groups.append(outcomes[group])
+        else:
+            total = sum(n.size_kb_per_s for n in [golden] + [g for g in groups if not g.golden])
+            if total < best_cost - 1e-12:
+                best_cost, best = total, groups
+    assert best is not None
+    golden.consumers = [c for g in best if g.golden for c in g.consumers]
+    return StoragePlan(nodes=[golden] + [g for g in best if not g.golden])

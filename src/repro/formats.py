@@ -11,7 +11,7 @@ Sampling values follow Table 2 of the evaluation (1/6 rather than Table 1's
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,40 +32,43 @@ SAMPLINGS: tuple[Fraction, ...] = (
 SPEED_STEPS: tuple[str, ...] = ("slowest", "slow", "med", "fast", "fastest")
 KEYFRAME_INTERVALS: tuple[int, ...] = (5, 10, 50, 100, 250)
 
-_QIDX = {q: i for i, q in enumerate(QUALITIES)}
+#: per fidelity knob, value -> index in its ascending value tuple
+_KNOB_IDX = tuple({v: i for i, v in enumerate(vs)} for vs in (QUALITIES, RESOLUTIONS, SAMPLINGS, CROPS))
 _SIDX = {s: i for i, s in enumerate(SPEED_STEPS)}
 
 
 @dataclass(frozen=True)
 class Fidelity:
-    """One fidelity option f = <quality, resolution, sampling, crop>."""
+    """One fidelity option f = <quality, resolution, sampling, crop>; its
+    lattice indices, float rate and hash are computed once, at construction."""
 
     quality: str
     resolution: int
     sampling: Fraction
     crop: float
+    #: per knob, the index of its value (richer-than is index order on every knob)
+    idx: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    #: ``float(sampling)``, the key of ``StorageProfile.speed_by_sampling``
+    rate: float = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (
-            self.quality in _QIDX
-            and self.resolution in RESOLUTIONS
-            and self.sampling in SAMPLINGS
-            and self.crop in CROPS
-        ):
-            raise ValueError(f"illegal knob value in {self!r}")
+        q, r, s, c = _KNOB_IDX
+        try:
+            idx = (q[self.quality], r[self.resolution], s[self.sampling], c[self.crop])
+        except KeyError:
+            raise ValueError(f"illegal knob value in {self!r}") from None
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "rate", float(self.sampling))
+        object.__setattr__(self, "_hash", hash(idx))
 
-    @property
-    def quality_idx(self) -> int:
-        return _QIDX[self.quality]
+    def __hash__(self) -> int:
+        return self._hash
 
     def richer_eq(self, other: "Fidelity") -> bool:
         """True iff self is richer-than-or-equal on *every* knob (partial order)."""
-        return (
-            self.quality_idx >= other.quality_idx
-            and self.resolution >= other.resolution
-            and self.sampling >= other.sampling
-            and self.crop >= other.crop
-        )
+        a, b = self.idx, other.idx
+        return a[0] >= b[0] and a[1] >= b[1] and a[2] >= b[2] and a[3] >= b[3]
 
     def strictly_richer(self, other: "Fidelity") -> bool:
         return self.richer_eq(other) and self != other
@@ -77,14 +80,9 @@ class Fidelity:
 
 
 def knobwise_max(*fs: Fidelity) -> Fidelity:
-    """Least fidelity richer-or-equal to all inputs (join in the knob lattice)."""
-    assert fs
-    return Fidelity(
-        quality=QUALITIES[max(f.quality_idx for f in fs)],
-        resolution=max(f.resolution for f in fs),
-        sampling=max(f.sampling for f in fs),
-        crop=max(f.crop for f in fs),
-    )
+    """Least fidelity richer-or-equal to all inputs (join in the knob lattice):
+    the knob-wise max of their indices, as the member of ``fidelity_space()``."""
+    return _LATTICE[tuple(map(max, zip(*(f.idx for f in fs))))]
 
 
 @dataclass(frozen=True)
@@ -133,6 +131,10 @@ def fidelity_space() -> tuple[Fidelity, ...]:
         Fidelity(q, r, s, c)
         for q, r, s, c in itertools.product(QUALITIES, RESOLUTIONS, SAMPLINGS, CROPS)
     )
+
+
+#: knob indices -> the interned fidelity option
+_LATTICE = {f.idx: f for f in fidelity_space()}
 
 
 @lru_cache(maxsize=1)

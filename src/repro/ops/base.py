@@ -67,7 +67,7 @@ class Operator:
         loss_r = (
             self.ar * (1.0 - f.resolution / 720.0) ** self.pr * (1.0 + self.iota * ql)
         )
-        loss_s = self.asamp * (1.0 - float(f.sampling)) ** self.psamp * (0.5 + motion)
+        loss_s = self.asamp * (1.0 - f.rate) ** self.psamp * (0.5 + motion)
         loss_c = self.ac * (1.0 - f.crop)
         acc = (1 - loss_q) * (1 - min(loss_r, 0.99)) * (1 - min(loss_s, 0.99)) * (1 - loss_c)
         return float(np.clip(acc, 0.01, 1.0))
@@ -82,7 +82,7 @@ class Operator:
     def consumption_speed_x(self, f: Fidelity) -> float:
         """Consumption speed in x-realtime: the operator processes FPS*s
         frames per video-second."""
-        frames = max(FPS * float(f.sampling), 1.0)
+        frames = max(FPS * f.rate, 1.0)
         return 1.0 / (frames * self.cost_per_frame_s(f))
 
     # -- selectivity ----------------------------------------------------------

@@ -12,6 +12,8 @@ by size, and per sampling rate a numpy vector of their retrieval speeds, so R2
 is one vector comparison per rate. The run/hit counters count per (fidelity,
 coding), a row lookup included, and feed the §6.4 overhead accounting (the
 paper reports 475 profiled of 15K possible, 92% of examined formats memoized).
+A §4.3 derivation merges each pair once and adds a replayed merge's lookups
+to the hits, as every lookup of a repeated merge would hit.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from repro.codec.model import retrieval_speed_x, size_kb_per_s
 from repro.formats import SAMPLINGS, Coding, Fidelity, StorageFormat, coding_space
 from repro.video.datasets import Dataset
 
-#: (``float(s)``, ``s``) for each legal consumer sampling rate
-_RATES = tuple((float(s), s) for s in SAMPLINGS)
+#: ``float(s)`` for each legal consumer sampling rate ``s``
+_RATES = tuple(float(s) for s in SAMPLINGS)
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class StorageProfiler:
             self.hits += len(row.by_size)
             return row
         by_size = tuple(sorted(self.profiles(f, coding_space()), key=lambda p: p.size_kb_per_s))
-        speeds = {r: np.array([p.speed_by_sampling[r] for p in by_size]) for r, _ in _RATES}
+        speeds = {r: np.array([p.speed_by_sampling[r] for p in by_size]) for r in _RATES}
         row = self.rows[f] = CodingRow(by_size, speeds)
         return row
 
@@ -98,5 +100,5 @@ class StorageProfiler:
             fidelity=f,
             coding=c,
             size_kb_per_s=size_kb_per_s(f, c, motion),
-            speed_by_sampling={r: retrieval_speed_x(sf, s, motion) for r, s in _RATES},
+            speed_by_sampling={r: retrieval_speed_x(sf, r, motion) for r in _RATES},
         )

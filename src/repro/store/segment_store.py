@@ -68,8 +68,10 @@ class SegmentStore:
     # -- access ---------------------------------------------------------------
 
     def load(self, spark: SparkSession, dataset: str) -> DataFrame:
-        """The stored rows of one stream (no Spark job until an action)."""
-        return spark.read.schema(TRANSCODE_SCHEMA).parquet(self._path(dataset))
+        """The stored rows of one stream as one partition, so that aggregating
+        them needs no exchange (a day is 8,640 segments × #SFs rows, < 1 MB);
+        no Spark job until an action."""
+        return spark.read.schema(TRANSCODE_SCHEMA).parquet(self._path(dataset)).coalesce(1)
 
     def storage_by_sf(self, spark: SparkSession, dataset: str) -> DataFrame:
         """Total stored KB per storage format (oracle-checkable)."""

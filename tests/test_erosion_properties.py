@@ -1,16 +1,19 @@
 """Property-based validation of §4.4 erosion planning (hypothesis): random
 storage budgets over the Table 2 plan, not only the fixed budgets of
-``test_erosion.py``, and the one-trajectory planner against a reference copy
-of the per-age greedy loop it replaces. Each budget example plans two budgets
+``test_erosion.py``; the one-trajectory planner against a reference copy
+of the per-age greedy loop it replaces; and the trajectory, which re-scores
+only the consumers a trial deletion touches, against one that re-scores
+every consumer, on random plans. Each budget example plans two budgets
 (about 40 ms each)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import ConfigOptions, derive_config
+from repro.core.config import ConfigOptions, derive_config, storage_profiler
 from repro.core.erosion import (
     QUANTUM,
     _K_MAX,
     ErosionPlan,
+    _Trajectory,
     _p_target,
     _trajectory,
     _plan_along,
@@ -18,7 +21,7 @@ from repro.core.erosion import (
     overall_speed,
     plan_erosion,
 )
-from repro.core.storage import StoragePlan
+from repro.core.storage import StoragePlan, derive_storage_plan
 
 LIFESPAN_DAYS = 10
 DAY_S = 86_400
@@ -114,3 +117,70 @@ def reference_plan_for_k(
 def test_trajectory_matches_greedy_loop(plan, k, lifespan_days):
     got = _plan_along(_trajectory(plan), lifespan_days, k)
     assert got == reference_plan_for_k(plan, lifespan_days, k)
+
+
+def full_recompute_trajectory(plan: StoragePlan) -> _Trajectory:
+    """The greedy deletion trajectory with every consumer re-scored for every
+    trial deletion."""
+    nodes = plan.nodes
+    assignment = plan.assignment()
+    parent = build_richer_tree(nodes)
+    erodible = [i for i in range(len(nodes)) if i != 0]
+    p_min = overall_speed(nodes, assignment, parent, {i: 1.0 for i in erodible})
+
+    def storage(deleted):
+        return sum(n.size_kb_per_s * (1.0 - deleted.get(i, 0.0)) for i, n in enumerate(nodes))
+
+    deleted = {i: 0.0 for i in erodible}
+    t = _Trajectory(p_min, [deleted], [overall_speed(nodes, assignment, parent, deleted)],
+                    [storage(deleted)])
+    while True:
+        best = None
+        for i in erodible:
+            if deleted[i] >= 1.0 - 1e-9:
+                continue
+            trial = dict(deleted)
+            trial[i] = min(1.0, trial[i] + QUANTUM)
+            ov = overall_speed(nodes, assignment, parent, trial)
+            if best is None or ov > best[0]:
+                best = (ov, trial)
+        if best is None:
+            return t
+        ov, deleted = best
+        t.deleted.append(deleted)
+        t.overall.append(ov)
+        t.storage_kb_s.append(storage(deleted))
+
+
+def trajectory_or_error(build, plan):
+    """The trajectory, or the message of the ``ValueError`` it raised (a plan
+    whose richer-than tree does not exist)."""
+    try:
+        return build(plan)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.fixture(scope="module")
+def table2_consumers():
+    return derive_config(options=ConfigOptions(profiler_mode="local")).consumers
+
+
+# random subsets of the 24 Table 2 consumers, unbudgeted or under an ingest
+# budget (cores) that most of them meet
+@given(
+    order=st.permutations(range(24)),
+    n=st.integers(1, 24),
+    budget=st.one_of(st.none(), st.floats(1.0, 16.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_incremental_trajectory_matches_full_recompute(table2_consumers, order, n, budget):
+    consumers = [table2_consumers[k] for k in order[:n]]
+    sp = storage_profiler()
+    kw = {} if budget is None else dict(ingest_budget_cores=budget, motion=sp.ds.motion)
+    try:
+        plan = derive_storage_plan(sp, consumers, **kw)
+    except ValueError:
+        return  # an unreachable ingest budget: no plan to erode
+    got = trajectory_or_error(_trajectory, plan)
+    assert got == trajectory_or_error(full_recompute_trajectory, plan)

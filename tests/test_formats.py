@@ -1,5 +1,6 @@
 """Knob inventory and richer-than partial order (paper Table 1, §2.3)."""
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,44 @@ class TestKnobwiseMax:
         fs = [fid(q="worst", r=60), fid(q="best", r=60, s=S(1, 30)), fid(q="worst", r=720, c=0.5)]
         m = knobwise_max(*fs)
         assert all(m.richer_eq(f) for f in fs)
+
+
+class TestLattice:
+    """The interned knob lattice against value-based references: the join is
+    the max and richer-than the >= of every knob's value."""
+
+    def test_exhaustive_against_values(self):
+        space = fidelity_space()
+        by_value = {(f.quality, f.resolution, f.sampling, f.crop): f for f in space}
+        q = QUALITIES.index
+        for a in space:
+            for b in space:
+                want = (
+                    QUALITIES[max(q(a.quality), q(b.quality))],
+                    max(a.resolution, b.resolution),
+                    max(a.sampling, b.sampling),
+                    max(a.crop, b.crop),
+                )
+                assert knobwise_max(a, b) is by_value[want]  # equal and interned
+                assert a.richer_eq(b) == (
+                    q(a.quality) >= q(b.quality)
+                    and a.resolution >= b.resolution
+                    and a.sampling >= b.sampling
+                    and a.crop >= b.crop
+                )
+
+    def test_join_of_fresh_instances_is_interned(self):
+        a, b = fid(q="bad", r=200), fid(q="good", r=100, s=S(1, 6))
+        m = knobwise_max(a, b)
+        assert any(m is f for f in fidelity_space())
+        assert knobwise_max(a) is not a and knobwise_max(a) == a
+
+    def test_pickle_round_trip(self):
+        # Spark ships consumption formats to its profiling and cascade tasks
+        for f in fidelity_space():
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f and hash(g) == hash(f) and g.rate == f.rate == float(f.sampling)
+            assert g.idx == f.idx and repr(g) == repr(f)
 
 
 class TestCoding:

@@ -1,18 +1,38 @@
 """Property-based validation of §4.3 coalescing and budget adaptation
 (hypothesis): R1/R2, golden placement, assignment and cost on random
-consumer sets, not only on the Table 2 configuration; and the vectorized
-coding choice against the scalar rule it implements."""
+consumer sets, not only on the Table 2 configuration; the vectorized coding
+choice against the scalar rule it implements; the per-derivation merge memo
+against merging every pair afresh; and the memoized §6.4 enumeration against
+the loop that evaluates every group of every partition."""
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.storage as storage
 from repro.codec.model import raw_retrieval_speed_x
-from repro.core.storage import Consumer, choose_coding, derive_storage_plan, initial_nodes
+from repro.core.config import ConfigOptions, derive_config, storage_profiler
+from repro.core.storage import (
+    Consumer,
+    SFNode,
+    StoragePlan,
+    _by_cf,
+    _feasible,
+    _golden_node,
+    _merged,
+    _partitions,
+    choose_coding,
+    derive_storage_plan,
+    enumerate_storage_plan,
+    initial_nodes,
+)
 from repro.formats import RAW, SAMPLINGS, Fidelity, coding_space, fidelity_space, knobwise_max
+from repro.ops.library import QUERY_B
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS
 
@@ -159,3 +179,91 @@ def test_choose_coding_edge_cases(case):
         assert got.coding == RAW
     else:
         assert got is None
+
+
+@pytest.fixture(scope="module")
+def table2_consumers():
+    return derive_config(options=ConfigOptions(profiler_mode="local")).consumers
+
+
+def plan_or_error(derive):
+    """The derived plan, or the message of the ``ValueError`` it raised."""
+    try:
+        return derive()
+    except ValueError as e:
+        return str(e)
+
+
+def unmemoized_coalesces(sp, nodes, memo):
+    """The pair scan without the merge memo: every pair is merged afresh."""
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        m = _merged(sp, nodes[i], nodes[j])
+        if m is not None:
+            yield i, j, m, m.size_kb_per_s - nodes[i].size_kb_per_s - nodes[j].size_kb_per_s
+
+
+# budgets in cores: the unbudgeted Table 2 plan ingests about 16, and below
+# about 0.5 no subset of more than a few consumers fits
+@given(
+    order=st.permutations(range(24)),
+    n=st.integers(1, 24),
+    budget=st.one_of(st.none(), st.floats(0.3, 16.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_merge_memo_matches_unmemoized(table2_consumers, order, n, budget):
+    # same nodes, same five counters (runs, hits, pairs examined, rounds,
+    # budget moves) or the same unreachable-budget error
+    consumers = [table2_consumers[k] for k in order[:n]]
+    motion = storage_profiler().ds.motion
+    kw = {} if budget is None else dict(ingest_budget_cores=budget, motion=motion)
+    got = plan_or_error(lambda: derive_storage_plan(storage_profiler(), consumers, **kw))
+    with mock.patch.object(storage, "_coalesces", unmemoized_coalesces):
+        want = plan_or_error(lambda: derive_storage_plan(storage_profiler(), consumers, **kw))
+    assert got == want
+
+
+def reference_enumeration(sp, consumers):
+    """The §6.4 enumeration without the group memo: every group of every
+    partition is evaluated again."""
+    by_cf = _by_cf(consumers)
+    best_nodes, best_cost = None, float("inf")
+    for part in _partitions(list(by_cf)):
+        nodes = [_golden_node(sp, by_cf)]
+        ok = True
+        for group in part:
+            f = knobwise_max(*group)
+            cons = [c for cf in group for c in by_cf[cf]]
+            if f == nodes[0].fidelity and _feasible(nodes[0].profile, cons):
+                nodes[0].consumers.extend(cons)
+                continue
+            prof = choose_coding(sp, f, cons)
+            if prof is None:
+                ok = False
+                break
+            nodes.append(SFNode(prof, cons))
+        if not ok:
+            continue
+        total = sum(n.size_kb_per_s for n in nodes)
+        if total < best_cost - 1e-12:
+            best_cost, best_nodes = total, nodes
+    return StoragePlan(nodes=best_nodes)
+
+
+def check_enumeration(consumers):
+    sp, ref = storage_profiler(), storage_profiler()
+    got = enumerate_storage_plan(sp, consumers)
+    assert got == reference_enumeration(ref, consumers)
+    assert sp.runs == ref.runs  # the same formats are profiled
+
+
+def test_enumeration_matches_reference_on_query_b(table2_consumers):
+    # the Fig 13 / §6.4 case: 10 CFs, 115,975 partitions
+    check_enumeration([c for c in table2_consumers if c.op_name in QUERY_B])
+
+
+# one to six consumers (at most 203 partitions), drawn as in consumer_draws
+@given(draws=st.lists(st.tuples(st.sampled_from(fidelity_space()), st.floats(-1.0, 6.0)),
+                      min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_reference_on_random_cfs(draws):
+    check_enumeration(make_consumers(draws))

@@ -143,6 +143,32 @@ class TestSegmentStore:
             assert store.storage_kb_per_s(spark, "park") == pytest.approx(kb / secs, rel=1e-9)
             store.apply_erosion(spark, "park", {"SF1": 0.5})
 
+    def test_stream_operations_are_shuffle_free(self, spark, tmp_path):
+        # a stream is read as one partition: each accounting aggregation is
+        # one job of one stage, and erosion one job to count the segments and
+        # one to rewrite them
+        store = SegmentStore(str(tmp_path / "store"))
+        store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
+        sc = spark.sparkContext
+        calls = [
+            ("storage_by_sf", lambda: store.storage_by_sf(spark, "park").collect(), 1),
+            ("storage_kb_per_s", lambda: store.storage_kb_per_s(spark, "park"), 1),
+            ("apply_erosion", lambda: store.apply_erosion(spark, "park", {"SF1": 0.5}), 2),
+        ]
+        for name, call, n_jobs in calls:
+            group = f"test-store-jobs {name}"
+            sc.setJobGroup(group, name)
+            try:
+                call()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            # the status tracker is fed by the asynchronous listener bus
+            sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
+            tracker = sc.statusTracker()
+            jobs = tracker.getJobIdsForGroup(group)
+            assert len(jobs) == n_jobs, name
+            assert all(len(tracker.getJobInfo(j).stageIds) == 1 for j in jobs), name
+
     def test_apply_erosion_deletes_fraction(self, spark, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))
         store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
