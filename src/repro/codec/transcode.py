@@ -1,9 +1,10 @@
-"""Per-partition transcoding job: segments x storage-formats -> stored rows.
+"""Transcoding job: segments x storage-formats -> stored rows.
 
 This is VStore's ingestion data plane (paper §2.2/§5: one FFmpeg instance per
 ingested stream transcoding into every storage format), realized as a Spark
-``mapInPandas`` pass: for every storage format, each partition of the segment
-DataFrame evaluates the codec model over its segments' motion as one numpy
+``mapInPandas`` pass run as one task per stream (the store coalesces a
+stream's segments to one partition): for every storage format, the task
+evaluates the codec model over the stream's segment motion as one numpy
 expression and emits one row per segment. A stored row holds its key
 (segment, SF id; the stream is the store directory) and its cost: the encoded
 size and the encode CPU spent. The SF knobs stay in the provider's ``sfs``.

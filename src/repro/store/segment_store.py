@@ -2,19 +2,21 @@
 
 The paper stores 8–10 s video segments as MB-sized values in LMDB keyed by
 (stream, segment, storage format) and retrieves/deletes each independently.
-Here each stream is one directory of parquet files, and each stored version
-is a row of its key (segment id, seconds, SF id) and its cost: the simulated
-on-disk size and the ingest CPU spent. The format knobs live in the
-configuration, not in the rows. A stream is read with the transcode job's
-declared ``TRANSCODE_SCHEMA``, so opening one runs no Spark job, and no write
-reads back what it wrote. Storage/ingestion accounting are Spark SQL
-aggregations, cross-checked against DuckDB with the repo oracle. Ingestion
-itself is the per-partition ``mapInPandas`` transcode job from
-:mod:`repro.codec.transcode`.
+Here each stream is one directory holding one parquet file, written by one
+Spark task, and each stored version is a row of its key (segment id,
+seconds, SF id) and its cost: the simulated on-disk size and the ingest CPU
+spent. The format knobs live in the configuration, not in the rows. A stream
+is read with the transcode job's declared ``TRANSCODE_SCHEMA`` as one
+partition, so opening one runs no Spark job, no aggregation needs an
+exchange, and no write reads back what it wrote. Storage/ingestion
+accounting are Spark SQL aggregations, cross-checked against DuckDB with the
+repo oracle. Ingestion itself is the ``mapInPandas`` transcode job from
+:mod:`repro.codec.transcode`, run as one task over the whole stream.
 
-Erosion rewrites a stream and never removes its only copy: the live
-directory is renamed aside, the new copy renamed in, and only then is the
-aside copy deleted. A store that opens with a stream's live directory
+Erosion is one pass over the stream: one task reads it, drops the deleted
+rows and writes the rest, and it never removes the stream's only copy: the
+live directory is renamed aside, the new copy renamed in, and only then is
+the aside copy deleted. A store that opens with a stream's live directory
 missing and its aside copy present (a crash between the two renames)
 restores the aside copy.
 """
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import os
 import shutil
+from typing import Iterable
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -61,8 +65,10 @@ class SegmentStore:
         hours: float = 1.0,
     ) -> None:
         """Transcode ``hours`` of one stream into every storage format and
-        persist the stored versions (one Spark job)."""
-        segs = segments_df(spark, ds, hours=hours)
+        persist the stored versions: one Spark job of one task, which writes
+        one parquet file (the narrow coalesce adds no shuffle, so the codec
+        model runs once over the whole stream)."""
+        segs = segments_df(spark, ds, hours=hours).coalesce(1)
         transcode_segments(segs, sfs).write.mode("overwrite").parquet(self._path(ds.name))
 
     # -- access ---------------------------------------------------------------
@@ -106,16 +112,26 @@ class SegmentStore:
         deleted_fracs: dict[str, float],
     ) -> None:
         """Delete the given fraction of each SF's segments (lowest segment ids
-        first, deterministically) and rewrite the stream."""
-        df = self.load(spark, dataset)
-        # the segment count is stored nowhere but in the rows
-        n_seg = df.select("segment_id").distinct().count()
-        conds = None
-        for sf_id, frac in deleted_fracs.items():
-            cutoff = int(round(frac * n_seg))
-            c = (F.col("sf_id") == sf_id) & (F.col("segment_id") < cutoff)
-            conds = c if conds is None else (conds | c)
-        kept = df if conds is None else df.filter(~conds)
+        first, deterministically) and rewrite the stream in one Spark job. A
+        plan that deletes no fraction runs no job and leaves the files as
+        they are."""
+        fracs = {sf_id: frac for sf_id, frac in deleted_fracs.items() if frac > 0}
+        if not fracs:
+            return
+
+        def erode(batches: Iterable[pd.DataFrame]):
+            # One call sees every row of the stream only because load() reads
+            # it as one partition (its coalesce(1)); the segment count is
+            # stored nowhere but in the rows.
+            parts = list(batches)
+            if parts:  # an emptied stream's partition has no batch
+                pdf = pd.concat(parts, ignore_index=True)
+                n_seg = pdf["segment_id"].nunique()
+                cutoffs = {sf_id: int(round(frac * n_seg)) for sf_id, frac in fracs.items()}
+                # an SF without a cutoff maps to NaN, and no id is below NaN
+                yield pdf[~(pdf["segment_id"] < pdf["sf_id"].map(cutoffs))]
+
+        kept = self.load(spark, dataset).mapInPandas(erode, schema=TRANSCODE_SCHEMA)
         live = self._path(dataset)
         tmp, aside = live + ".tmp", live + ASIDE
         kept.write.mode("overwrite").parquet(tmp)

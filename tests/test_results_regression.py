@@ -14,6 +14,7 @@ from jobs import (
     table3_ingest_budget,
 )
 from jobs.common import RESULTS_DIR
+from repro.core.storage import _partitions
 
 #: wall-clock fields of a job's output: Fig 13's timings of the two §6.4
 #: storage derivations and their ratio
@@ -42,6 +43,14 @@ def test_job_output_matches_results(job, name):
         return [WALL_TIME.sub("…", line) for line in ls]
 
     assert simulated(lines) == simulated(recorded(name))
+
+
+def test_fig13_partition_count_is_what_the_enumeration_tries():
+    # the §6.4 line's count of partitions, against the enumeration's own
+    # generator (Fig 13's 10 query-B CFs give 115,975)
+    for n in range(9):
+        assert fig13_overhead.set_partitions(n) == sum(1 for _ in _partitions(list(range(n))))
+    assert fig13_overhead.set_partitions(10) == 115_975
 
 
 def test_table2_matches_results():

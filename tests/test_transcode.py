@@ -1,9 +1,12 @@
-"""Per-partition transcode job and segment store (ingestion data plane)."""
+"""Transcode job and segment store (ingestion data plane)."""
 import os
+import shutil
 from fractions import Fraction
 
 import duckdb
 import pytest
+from hypothesis import given, settings, strategies as st
+from pyspark.sql import functions as F
 
 from repro.codec.model import encode_cost_cores, size_kb_per_s
 from repro.codec.transcode import (
@@ -87,6 +90,29 @@ class TestTranscode:
         )
 
 
+def _jobs_run_by(spark, name, call):
+    """Run ``call`` under its own job group; per Spark job it ran, the task
+    count of each of its stages."""
+    sc = spark.sparkContext
+    group = f"test-store-jobs {name}"
+    sc.setJobGroup(group, name)
+    try:
+        call()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # the status tracker is fed by the asynchronous listener bus
+    sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
+    tracker = sc.statusTracker()
+    return [
+        [tracker.getStageInfo(s).numTasks for s in tracker.getJobInfo(j).stageIds]
+        for j in sorted(tracker.getJobIdsForGroup(group))
+    ]
+
+
+def _parquet_files(store, dataset):
+    return [f for f in os.listdir(store._path(dataset)) if f.endswith(".parquet")]
+
+
 class TestSegmentStore:
     def test_ingest_and_load(self, spark, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))
@@ -143,31 +169,49 @@ class TestSegmentStore:
             assert store.storage_kb_per_s(spark, "park") == pytest.approx(kb / secs, rel=1e-9)
             store.apply_erosion(spark, "park", {"SF1": 0.5})
 
+    def test_ingest_is_one_task_writing_one_file(self, spark, tmp_path):
+        # a 6-h stream (2,160 segments) is transcoded by one task into one file
+        store = SegmentStore(str(tmp_path / "store"))
+        jobs = _jobs_run_by(
+            spark, "ingest", lambda: store.ingest(spark, DATASETS["park"], SFS, hours=6.0)
+        )
+        assert jobs == [[1]]
+        assert len(_parquet_files(store, "park")) == 1
+        assert store.load(spark, "park").count() == 2160 * len(SFS)
+
     def test_stream_operations_are_shuffle_free(self, spark, tmp_path):
         # a stream is read as one partition: each accounting aggregation is
-        # one job of one stage, and erosion one job to count the segments and
-        # one to rewrite them
+        # one job of one stage, and erosion one job that reads, filters and
+        # rewrites the stream
         store = SegmentStore(str(tmp_path / "store"))
         store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
-        sc = spark.sparkContext
         calls = [
             ("storage_by_sf", lambda: store.storage_by_sf(spark, "park").collect(), 1),
             ("storage_kb_per_s", lambda: store.storage_kb_per_s(spark, "park"), 1),
-            ("apply_erosion", lambda: store.apply_erosion(spark, "park", {"SF1": 0.5}), 2),
+            ("apply_erosion", lambda: store.apply_erosion(spark, "park", {"SF1": 0.5}), 1),
         ]
         for name, call, n_jobs in calls:
-            group = f"test-store-jobs {name}"
-            sc.setJobGroup(group, name)
-            try:
-                call()
-            finally:
-                sc.setLocalProperty("spark.jobGroup.id", None)
-            # the status tracker is fed by the asynchronous listener bus
-            sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
-            tracker = sc.statusTracker()
-            jobs = tracker.getJobIdsForGroup(group)
+            jobs = _jobs_run_by(spark, name, call)
             assert len(jobs) == n_jobs, name
-            assert all(len(tracker.getJobInfo(j).stageIds) == 1 for j in jobs), name
+            assert all(len(stages) == 1 for stages in jobs), name
+
+    @pytest.mark.parametrize("fracs", [{}, {"SF1": 0.0, "SF2": 0}])
+    def test_noop_erosion_runs_nothing(self, spark, tmp_path, fracs):
+        # the young ages of every erosion plan delete nothing: no job runs
+        # and the stream's files stay as they are
+        store = SegmentStore(str(tmp_path / "store"))
+        store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
+
+        def files():
+            path = store._path("park")
+            return {f: os.stat(os.path.join(path, f)).st_mtime_ns for f in os.listdir(path)}
+
+        before = files()
+        jobs = _jobs_run_by(
+            spark, "noop erosion", lambda: store.apply_erosion(spark, "park", fracs)
+        )
+        assert jobs == []
+        assert files() == before
 
     def test_apply_erosion_deletes_fraction(self, spark, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))
@@ -184,6 +228,15 @@ class TestSegmentStore:
         df = store.load(spark, "park")
         assert df.filter("sf_id = 'SFg'").count() == 18
         assert df.filter("sf_id != 'SFg'").count() == 0
+
+    def test_apply_erosion_of_an_emptied_stream(self, spark, tmp_path):
+        # a stream with every version deleted is still a stream: its one
+        # partition holds no rows, and eroding it again keeps it empty
+        store = SegmentStore(str(tmp_path / "store"))
+        store.ingest(spark, DATASETS["park"], SFS, hours=0.05)
+        store.apply_erosion(spark, "park", dict.fromkeys(SFS, 1.0))
+        store.apply_erosion(spark, "park", {"SF1": 0.5})
+        assert store.load(spark, "park").count() == 0
 
     def test_apply_erosion_crash_keeps_a_copy(self, spark, tmp_path, monkeypatch):
         # a crash between renaming the live copy aside and renaming the new
@@ -208,3 +261,75 @@ class TestSegmentStore:
         store.apply_erosion(spark, "park", {"SF1": 0.5})
         df = store.load(spark, "park")
         assert df.filter("sf_id = 'SF1'").count() == 9 and df.count() == 18 * len(SFS) - 9
+
+
+# -- erosion as one pass: equivalence with the filter it replaced -------------
+
+
+def _reference_kept(df, deleted_fracs):
+    """The rows erosion kept when it counted the segments in one job and
+    filtered the stream as a DataFrame in another (the reference)."""
+    n_seg = df.select("segment_id").distinct().count()
+    conds = None
+    for sf_id, frac in deleted_fracs.items():
+        cutoff = int(round(frac * n_seg))
+        c = (F.col("sf_id") == sf_id) & (F.col("segment_id") < cutoff)
+        conds = c if conds is None else (conds | c)
+    return df if conds is None else df.filter(~conds)
+
+
+#: 18, 23 and 36 segments: none a multiple of the 20 erosion quanta
+EROSION_HOURS = (0.05, 0.065, 0.1)
+
+
+@pytest.fixture(scope="module")
+def pristine_streams(spark, tmp_path_factory):
+    """Per (hours, file count), a store holding park stored in that many
+    parquet files: one as ``ingest`` writes it, four as a store ingested by
+    four tasks holds it."""
+    streams = {}
+    for hours in EROSION_HOURS:
+        for n_files in (1, 4):
+            store = SegmentStore(str(tmp_path_factory.mktemp(f"pristine-{hours}-{n_files}")))
+            if n_files == 1:
+                store.ingest(spark, DATASETS["park"], SFS, hours=hours)
+            else:
+                stored = transcode_segments(segments_df(spark, DATASETS["park"], hours=hours), SFS)
+                stored.repartition(n_files).write.parquet(store._path("park"))
+            assert len(_parquet_files(store, "park")) == n_files
+            streams[hours, n_files] = store
+    return streams
+
+
+@given(
+    hours=st.sampled_from(EROSION_HOURS),
+    n_files=st.sampled_from((1, 4)),
+    # SF7 and SF9 are not in the store
+    fracs=st.dictionaries(
+        st.sampled_from(("SFg", "SF1", "SF2", "SF7", "SF9")),
+        st.sampled_from([k / 20 for k in range(21)]),
+        max_size=5,
+    ),
+)
+@settings(max_examples=20, deadline=None)
+def test_erosion_keeps_what_the_filter_kept(
+    spark, tmp_path_factory, pristine_streams, hours, n_files, fracs
+):
+    pristine = pristine_streams[hours, n_files]
+    # the segment count is global only because a stream is read as one
+    # partition, however many files hold it
+    assert pristine.load(spark, "park").rdd.getNumPartitions() == 1
+    store = SegmentStore(str(tmp_path_factory.mktemp("eroded")))
+    shutil.copytree(pristine._path("park"), store._path("park"))
+    store.apply_erosion(spark, "park", fracs)
+
+    def rows(df):
+        return sorted(map(tuple, df.collect()))
+
+    assert rows(store.load(spark, "park")) == rows(
+        _reference_kept(pristine.load(spark, "park"), fracs)
+    )
+    # a pass that deletes something writes one file; one that deletes
+    # nothing leaves the stream's files as they are
+    n_after = 1 if any(f > 0 for f in fracs.values()) else n_files
+    assert len(_parquet_files(store, "park")) == n_after
