@@ -28,9 +28,11 @@ from repro.query.cascade import execute, price, stage_plan
 from repro.video.datasets import DATASETS
 
 KINDS = ("vstore", "1->1", "1->N", "N->N")
+#: hours of video each query runs over
+HOURS = 1.0
 
 
-def main(spark, out=print, hours: float = 1.0):
+def main(spark, out=print):
     cfg = derive_config(spark, ConfigOptions(profiler_mode="local"))
     providers = {
         name: {k: make_provider(k, cfg, ds.motion) for k in KINDS}
@@ -38,15 +40,15 @@ def main(spark, out=print, hours: float = 1.0):
     }
     results = {}
     # one cascade execution per distinct (stream, CF chain), priced per cell
-    execute_once = functools.cache(lambda ds, cfs: execute(spark, ds, cfs, hours))
-    out(f"== Fig 11(a): query speed (x-realtime), {hours} h of video ==")
+    execute_once = functools.cache(lambda ds, cfs: execute(spark, ds, cfs, HOURS))
+    out(f"== Fig 11(a): query speed (x-realtime), {HOURS} h of video ==")
     out(f"{'dataset':>8s} {'F1':>5s} " + " ".join(f"{k:>9s}" for k in KINDS))
     for name, ds in DATASETS.items():
         for acc in ACCURACY_LEVELS:
             row = []
             for k in KINDS:
                 plan = stage_plan(providers[name][k], ds, acc)
-                r = price(execute_once(ds, tuple(e.cf for e in plan)), plan, ds, acc, hours)
+                r = price(execute_once(ds, tuple(e.cf for e in plan)), plan, ds, acc, HOURS)
                 results[(name, acc, k)] = r
                 row.append(r.speed_x)
             out(

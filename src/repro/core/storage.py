@@ -22,7 +22,8 @@ fall back to RAW (Table 3's trajectory). A budget no move sequence can meet
 raises ``ValueError``.
 
 ``enumerate_storage_plan`` is the exhaustive set-partition baseline of §6.4,
-used to validate that coalescing finds equally storage-efficient plans.
+used to validate that coalescing, under the same merge rule, finds equally
+storage-efficient plans.
 """
 from __future__ import annotations
 
@@ -40,7 +41,9 @@ from repro.profiler.storage import StorageProfile, StorageProfiler
 
 @dataclass(frozen=True)
 class Consumer:
-    """<operator, target accuracy> with its derived CF and consumption speed."""
+    """<operator, target accuracy> with its derived CF and R2 demand ``speed_x``:
+    ``derive_config`` caps the consumption speed (``DerivedCF.speed_x``, as
+    Table 2 prints it) at the raw retrieval speed of the CF."""
 
     op_name: str
     target_acc: float
@@ -144,26 +147,25 @@ def choose_coding(
 
 # ---- coalescing -------------------------------------------------------------
 
+def _serving(
+    sp: StorageProfiler, f: Fidelity, consumers: list[Consumer], golden_coding: Coding | None = None
+) -> SFNode | None:
+    """The SF at fidelity ``f`` that serves ``consumers``, or None if R2 fails:
+    at :func:`choose_coding`'s coding, or, given ``golden_coding``, the golden
+    format at its pinned coding (the §4.3 golden coding or the budget phase's
+    cheaper one). Re-coding golden to absorb a fast consumer would defeat its
+    purpose as the cheap-to-store ultimate fallback."""
+    if golden_coding is not None:
+        prof = sp.profile(f, golden_coding)
+        return SFNode(prof, consumers, golden=True) if _feasible(prof, consumers) else None
+    prof = choose_coding(sp, f, consumers)
+    return None if prof is None else SFNode(prof, consumers)
+
+
 def _merged(sp: StorageProfiler, a: SFNode, b: SFNode) -> SFNode | None:
     """The would-be coalesced node of a and b (None if infeasible)."""
-    f2 = knobwise_max(a.fidelity, b.fidelity)
-    consumers = a.consumers + b.consumers
-    if a.golden or b.golden:
-        # The golden format's coding is pinned: the slowest coding with the
-        # lowest storage cost (§4.3) — or whatever cheaper coding the budget
-        # phase has already tuned it to (Table 3). A CF merges into golden
-        # only if that coding's retrieval speed suffices; re-coding golden
-        # just to absorb a fast consumer would defeat its purpose as the
-        # cheap-to-store ultimate fallback.
-        golden_coding = a.coding if a.golden else b.coding
-        prof = sp.profile(f2, golden_coding)
-        if not _feasible(prof, consumers):
-            return None
-    else:
-        prof = choose_coding(sp, f2, consumers)
-    if prof is None:
-        return None
-    return SFNode(prof, consumers, golden=a.golden or b.golden)
+    pinned = a.coding if a.golden else b.coding if b.golden else None
+    return _serving(sp, knobwise_max(a.fidelity, b.fidelity), a.consumers + b.consumers, pinned)
 
 
 def _by_cf(consumers: list[Consumer]) -> dict[Fidelity, list[Consumer]]:
@@ -176,8 +178,7 @@ def _by_cf(consumers: list[Consumer]) -> dict[Fidelity, list[Consumer]]:
 
 def _golden_node(sp: StorageProfiler, cfs) -> SFNode:
     """The golden format: knob-wise max of all CFs at the golden coding."""
-    f = knobwise_max(*cfs)
-    return SFNode(sp.profile(f, GOLDEN_CODING), [], golden=True)
+    return _serving(sp, knobwise_max(*cfs), [], GOLDEN_CODING)
 
 
 def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode]:
@@ -185,10 +186,10 @@ def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode
     by_cf = _by_cf(consumers)
     nodes = [_golden_node(sp, by_cf)]
     for cf, cons in by_cf.items():
-        prof = choose_coding(sp, cf, cons)
-        if prof is None:
+        node = _serving(sp, cf, cons)
+        if node is None:
             raise ValueError(f"no feasible coding for CF {cf.label()}")
-        nodes.append(SFNode(prof, cons))
+        nodes.append(node)
     return nodes
 
 
@@ -324,21 +325,19 @@ def enumerate_storage_plan(
     """Try every partition of the CF set into SF groups; keep the cheapest
     feasible plan (golden always included). Exponential — validation only.
 
-    Each distinct group is evaluated once: a node, a merge into golden (a
-    golden node of the group's consumers) or None if infeasible."""
+    A group follows the greedy's merge rule: it rides on golden if golden's
+    coding serves it, else it is its own SF at the knob-wise max of its CFs.
+    Each distinct group is evaluated once (a golden node of its consumers, an
+    SF, or None if infeasible)."""
     by_cf = _by_cf(consumers)
     cfs = list(by_cf)
     golden = _golden_node(sp, by_cf)
     outcomes: dict[tuple[int, ...], SFNode | None] = {}
 
     def outcome(group: tuple[int, ...]) -> SFNode | None:
-        f = knobwise_max(*(cfs[k] for k in group))
         cons = [c for k in group for c in by_cf[cfs[k]]]
-        # merge into the golden node if its coding stays feasible
-        if f == golden.fidelity and _feasible(golden.profile, cons):
-            return SFNode(golden.profile, cons, golden=True)
-        prof = choose_coding(sp, f, cons)
-        return None if prof is None else SFNode(prof, cons)
+        f = knobwise_max(*(cfs[k] for k in group))
+        return _serving(sp, golden.fidelity, cons, golden.coding) or _serving(sp, f, cons)
 
     best, best_cost = None, float("inf")
     for part in _partitions(list(range(len(cfs)))):

@@ -4,20 +4,19 @@ Paper §4.3: "for each pair, VStore profiles a video sample in the would-be
 coalesced SF, testing decoding speed and the video sample size". Here one
 profiling run evaluates the codec model (:mod:`repro.codec.model`) on the
 profiling dataset's content — its size and its retrieval speed for each of
-the five legal consumer sampling rates — and the profiler is a memo over those
-results, keyed by fidelity and then by coding, so one fidelity lookup serves a
-whole row of codings. The §4.3 coding choice reads a fidelity's 25 encoded
-codings as a :class:`CodingRow`, built once per fidelity: the profiles sorted
-by size, and per sampling rate a numpy vector of their retrieval speeds, so R2
-is one vector comparison per rate. The run/hit counters count per (fidelity,
-coding), a row lookup included, and feed the §6.4 overhead accounting (the
-paper reports 475 profiled of 15K possible, 92% of examined formats memoized).
-A §4.3 derivation merges each pair once and adds a replayed merge's lookups
-to the hits, as every lookup of a repeated merge would hit.
+the five legal consumer sampling rates — and ``StorageProfiler.profile`` is
+the one lookup into a memo of those results. The §4.3 coding choice reads a
+fidelity's 25 encoded codings as a :class:`CodingRow`, built once per
+fidelity from ``profile``: the profiles sorted by size, and per sampling rate
+a numpy vector of their retrieval speeds, so R2 is one vector comparison per
+rate. The run/hit counters count per (fidelity, coding), a row lookup
+included, and feed the §6.4 overhead accounting (the paper reports 475
+profiled of 15K possible, 92% of examined formats memoized). A §4.3
+derivation merges each pair once and adds a replayed merge's lookups to the
+hits, as every lookup of a repeated merge would hit.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,39 +56,31 @@ class StorageProfiler:
 
     def __init__(self, ds: Dataset) -> None:
         self.ds = ds
-        #: memo[fidelity][coding]
-        self.memo: dict[Fidelity, dict[Coding, StorageProfile]] = {}
+        self.memo: dict[tuple[Fidelity, Coding], StorageProfile] = {}
         self.rows: dict[Fidelity, CodingRow] = {}
         self.runs = 0  # actual profiling work (cache misses)
         self.hits = 0  # memoized reuse
 
     def profile(self, f: Fidelity, c: Coding) -> StorageProfile:
-        return self.profiles(f, (c,))[0]
-
-    def profiles(self, f: Fidelity, codings: Iterable[Coding]) -> list[StorageProfile]:
-        """The profiles of ``f`` under each of ``codings``, in order; each
-        (fidelity, coding) counts one run or one hit."""
-        row = self.memo.setdefault(f, {})
-        out = []
-        for c in codings:
-            prof = row.get(c)
-            if prof is None:
-                self.runs += 1
-                prof = row[c] = self._run(f, c)
-            else:
-                self.hits += 1
-            out.append(prof)
-        return out
+        """The profile of ``f`` under ``c``; counts one run or one hit."""
+        prof = self.memo.get((f, c))
+        if prof is None:
+            self.runs += 1
+            prof = self.memo[f, c] = self._run(f, c)
+        else:
+            self.hits += 1
+        return prof
 
     def coding_row(self, f: Fidelity) -> CodingRow:
-        """``f``'s encoded codings as a :class:`CodingRow`; counts like
-        ``profiles(f, coding_space())``: the first lookup runs or hits each
-        coding, every later one is 25 hits."""
+        """``f``'s encoded codings as a :class:`CodingRow`; the first lookup
+        runs or hits each coding through :meth:`profile`, every later one
+        counts 25 hits."""
         row = self.rows.get(f)
         if row is not None:
             self.hits += len(row.by_size)
             return row
-        by_size = tuple(sorted(self.profiles(f, coding_space()), key=lambda p: p.size_kb_per_s))
+        by_size = tuple(sorted((self.profile(f, c) for c in coding_space()),
+                               key=lambda p: p.size_kb_per_s))
         speeds = {r: np.array([p.speed_by_sampling[r] for p in by_size]) for r in _RATES}
         row = self.rows[f] = CodingRow(by_size, speeds)
         return row

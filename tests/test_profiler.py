@@ -110,15 +110,15 @@ class TestStorageProfiler:
 
     def test_row_lookup_counts_each_coding(self):
         p = StorageProfiler(DATASETS["dashcam"])
-        row = p.profiles(F1, coding_space())
+        row = [p.profile(F1, c) for c in coding_space()]
         assert (p.runs, p.hits) == (25, 0)
-        again = p.profiles(F1, coding_space())
+        again = [p.profile(F1, c) for c in coding_space()]
         assert (p.runs, p.hits) == (25, 25)
         assert all(a is b for a, b in zip(row, again))
 
     def test_single_lookup_returns_row_entry(self):
         p = StorageProfiler(DATASETS["dashcam"])
-        row = p.profiles(F1, coding_space())
+        row = [p.profile(F1, c) for c in coding_space()]
         for c, prof in zip(coding_space(), row):
             assert p.profile(F1, c) is prof
             assert prof.coding == c

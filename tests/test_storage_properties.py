@@ -2,8 +2,10 @@
 (hypothesis): R1/R2, golden placement, assignment and cost on random
 consumer sets, not only on the Table 2 configuration; the vectorized coding
 choice against the scalar rule it implements; the per-derivation merge memo
-against merging every pair afresh; and the memoized §6.4 enumeration against
-the loop that evaluates every group of every partition."""
+against merging every pair afresh; the memoized §6.4 enumeration against
+the loop that evaluates every group of every partition; and the enumeration
+against the greedy, which it must never cost more than."""
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -32,7 +34,7 @@ from repro.core.storage import (
     initial_nodes,
 )
 from repro.formats import RAW, SAMPLINGS, Fidelity, coding_space, fidelity_space, knobwise_max
-from repro.ops.library import QUERY_B
+from repro.ops.library import QUERY_A, QUERY_B
 from repro.profiler.storage import StorageProfiler
 from repro.video.datasets import DATASETS
 
@@ -100,7 +102,8 @@ def reference_choose_coding(sp, fidelity, consumers):
         return all(prof.speed_by_sampling[float(c.cf.sampling)] >= c.speed_x for c in consumers)
 
     best = None
-    for prof in sp.profiles(fidelity, coding_space()):
+    for c in coding_space():
+        prof = sp.profile(fidelity, c)
         if (best is None or prof.size_kb_per_s < best.size_kb_per_s) and feasible(prof):
             best = prof
     if best is not None:
@@ -143,7 +146,7 @@ def test_choose_coding_matches_scalar_reference(fidelity, ds_name, profiler, dat
     consumers = []
     for i in range(data.draw(st.integers(0, 8), label="n_consumers")):
         s = data.draw(st.sampled_from(SAMPLINGS), label="sampling")
-        at_rate = [p.speed_by_sampling[float(s)] for p in speeds.profiles(fidelity, coding_space() + (RAW,))]
+        at_rate = [speeds.profile(fidelity, c).speed_by_sampling[float(s)] for c in coding_space() + (RAW,)]
         speed = data.draw(
             st.one_of(
                 st.sampled_from(at_rate),  # exactly some coding's retrieval speed
@@ -166,7 +169,7 @@ def test_choose_coding_edge_cases(case):
     ds = DATASETS["dashcam"]
     rate = float(RAW_CASE.sampling)
     sp = StorageProfiler(ds)
-    fastest = max(p.speed_by_sampling[rate] for p in sp.profiles(RAW_CASE, coding_space()))
+    fastest = max(sp.profile(RAW_CASE, c).speed_by_sampling[rate] for c in coding_space())
     raw = sp.profile(RAW_CASE, RAW).speed_by_sampling[rate]
     assert raw > fastest
     speeds = {"no-consumers": [], "raw-only": [math.nextafter(fastest, math.inf), raw],
@@ -174,7 +177,7 @@ def test_choose_coding_edge_cases(case):
     consumers = [Consumer(f"c{i}", 0.9, RAW_CASE, x) for i, x in enumerate(speeds)]
     got = check_choice(ds, RAW_CASE, consumers)
     if case == "no-consumers":
-        assert got.size_kb_per_s == min(p.size_kb_per_s for p in sp.profiles(RAW_CASE, coding_space()))
+        assert got.size_kb_per_s == min(sp.profile(RAW_CASE, c).size_kb_per_s for c in coding_space())
     elif case == "raw-only":
         assert got.coding == RAW
     else:
@@ -233,7 +236,7 @@ def reference_enumeration(sp, consumers):
         for group in part:
             f = knobwise_max(*group)
             cons = [c for cf in group for c in by_cf[cf]]
-            if f == nodes[0].fidelity and _feasible(nodes[0].profile, cons):
+            if _feasible(nodes[0].profile, cons):
                 nodes[0].consumers.extend(cons)
                 continue
             prof = choose_coding(sp, f, cons)
@@ -249,21 +252,54 @@ def reference_enumeration(sp, consumers):
     return StoragePlan(nodes=best_nodes)
 
 
+def plan_digest(plan):
+    """The first 16 hex digits of a sha256 over each node's golden flag,
+    fidelity, coding, size (exact ``repr``) and consumers, in node order."""
+    rows = [(n.golden, n.fidelity.label(), n.coding.label(), repr(n.size_kb_per_s),
+             tuple(c.label() for c in n.consumers)) for n in plan.nodes]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
 def check_enumeration(consumers):
     sp, ref = storage_profiler(), storage_profiler()
     got = enumerate_storage_plan(sp, consumers)
     assert got == reference_enumeration(ref, consumers)
     assert sp.runs == ref.runs  # the same formats are profiled
+    return got, sp.runs
 
 
 def test_enumeration_matches_reference_on_query_b(table2_consumers):
-    # the Fig 13 / §6.4 case: 10 CFs, 115,975 partitions
-    check_enumeration([c for c in table2_consumers if c.op_name in QUERY_B])
+    # the Fig 13 / §6.4 case: 10 CFs, 115,975 partitions. Its plan, and query
+    # A's (10 CFs), are pinned node for node with their profiling runs.
+    b_plan, b_runs = check_enumeration([c for c in table2_consumers if c.op_name in QUERY_B])
+    assert (plan_digest(b_plan), b_runs) == ("4c6da2f17b851d2c", 336)
+    sp = storage_profiler()
+    a_plan = enumerate_storage_plan(sp, [c for c in table2_consumers if c.op_name in QUERY_A])
+    assert (plan_digest(a_plan), sp.runs) == ("c52edcd97db3fc43", 283)
 
 
 # one to six consumers (at most 203 partitions), drawn as in consumer_draws
-@given(draws=st.lists(st.tuples(st.sampled_from(fidelity_space()), st.floats(-1.0, 6.0)),
-                      min_size=1, max_size=6))
+small_draws = st.lists(st.tuples(st.sampled_from(fidelity_space()), st.floats(-1.0, 6.0)),
+                       min_size=1, max_size=6)
+
+
+@given(draws=small_draws)
 @settings(max_examples=60, deadline=None)
 def test_enumeration_matches_reference_on_random_cfs(draws):
     check_enumeration(make_consumers(draws))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_enumeration_never_costlier_than_greedy(table2_consumers, data):
+    # §6.4: the enumeration tries every grouping the greedy's merges can
+    # build, under the same merge rule, so it never needs more storage
+    if data.draw(st.booleans(), label="from_table2"):
+        consumers = data.draw(st.lists(st.sampled_from(table2_consumers), min_size=1, max_size=6,
+                                       unique=True), label="table2_subset")
+    else:
+        consumers = make_consumers(data.draw(small_draws, label="draws"))
+    exact = enumerate_storage_plan(storage_profiler(), consumers)
+    check_plan(exact, consumers)
+    greedy = derive_storage_plan(storage_profiler(), consumers)
+    assert exact.storage_kb_per_s() <= greedy.storage_kb_per_s() + 1e-9
